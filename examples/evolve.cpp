@@ -108,17 +108,17 @@ printHelp(const core::WorkloadRegistry& registry)
     usage.section("robustness")
         .flag("backend", "<kind>",
               "evaluation backend: inprocess (default, fastest), "
-              "isolated (fork-per-batch workers; a crashing/hanging "
-              "variant is penalized and quarantined instead of killing "
-              "the search), or remote (shard batches across gevo-workerd "
-              "daemons; fault-free runs are trajectory-identical to "
-              "inprocess)")
+              "isolated (forked local workers, one per thread, over the "
+              "farm protocol; a crashing/hanging variant is penalized "
+              "and quarantined instead of killing the search), or remote "
+              "(the same protocol to gevo-workerd daemons). Fault-free "
+              "runs are trajectory-identical to inprocess")
         .flag("workers", "<list>",
               "remote-backend worker endpoints, comma-separated "
               "host:port or unix:/path (required with --backend=remote)")
         .flag("eval-timeout-ms", "<n>",
-              "per-evaluation watchdog budget for the isolated and "
-              "remote backends (default 30000)")
+              "per-evaluation deadline for the isolated and remote "
+              "backends (default 30000)")
         .flag("checkpoint-path", "<file>",
               "durable search-state snapshots: save every "
               "checkpoint-interval generations and on completion or "
@@ -210,9 +210,9 @@ dumpHistory(const std::string& path, const core::SearchResult& result)
 int
 main(int argc, char** argv)
 {
-    // Process-wide: a remote worker (or an isolated worker's pipe)
-    // vanishing mid-write must surface as a write error the backend
-    // handles, never as a SIGPIPE death of the whole search.
+    // Process-wide: a worker (remote or forked) vanishing mid-write must
+    // surface as a write error the backend handles, never as a SIGPIPE
+    // death of the whole search.
     std::signal(SIGPIPE, SIG_IGN);
     apps::registerBuiltinWorkloads();
     auto& registry = core::WorkloadRegistry::instance();

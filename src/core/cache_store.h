@@ -15,8 +15,12 @@
 ///   header   "GEVOCACH" magic (8 bytes) + u32 format version
 ///            + u64 scope fingerprint
 ///   record*  u32 payloadLen | u32 crc32(payload) | payload
-///   payload  u8 level | u32 keyLen | key bytes
-///            | u8 valid | u64 ms-double-bits | u32 reasonLen | reason
+///   payload  u8 level | u32 keyLen | key bytes | FitnessResult
+///            (core::encodeFitness)
+///
+/// The record framing and the FitnessResult encoding are the shared
+/// codec (support/bytes.h, core/fitness.h) the checkpoint and the farm
+/// protocol use too.
 ///
 /// The scope fingerprint binds a file to the search it can accelerate.
 /// Level-0 keys encode only the edit list — two different workloads
@@ -50,6 +54,7 @@
 #include <vector>
 
 #include "core/fitness.h"
+#include "support/bytes.h" // crc32, for tests that craft damaged files.
 
 namespace gevo::core {
 
@@ -92,10 +97,6 @@ struct CacheLoadResult {
     /// File contributed usable records (possibly zero on an empty store).
     bool usable() const { return status == Status::Ok; }
 };
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of \p size bytes. Exposed so
-/// tests can craft deliberately corrupted files.
-std::uint32_t crc32(const char* data, std::size_t size);
 
 /// Read a cache file. \p expectedScope must match the fingerprint the
 /// file was saved with (see the header comment); 0 skips the check

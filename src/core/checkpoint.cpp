@@ -1,15 +1,10 @@
 #include "core/checkpoint.h"
 
-#include <atomic>
-#include <bit>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
-#include <unistd.h>
-
-#include "core/cache_store.h" // crc32 — shared framing discipline.
 #include "support/bytes.h"
+#include "support/io.h"
 #include "support/strings.h"
 
 namespace gevo::core {
@@ -19,37 +14,22 @@ namespace {
 constexpr char kMagic[8] = {'G', 'E', 'V', 'O', 'C', 'K', 'P', 'T'};
 /// magic + u32 version + u64 scope fingerprint.
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8;
-/// Per-record header: payload length + CRC.
-constexpr std::size_t kRecordHeader = 8;
-/// Sanity bound on a single payload (a 256-member island with hundreds
-/// of edits per individual is ~MBs; 64 MiB is corruption).
-constexpr std::size_t kMaxPayload = std::size_t{1} << 26;
+
+/// Smallest encodings, for the element-count checks: an individual with
+/// no edits, reason or objectives; a sampler config; a generation log
+/// with empty lists; an island with no members.
+constexpr std::size_t kMinIndividual = 4 + kMinEncodedFitness + 1;
+constexpr std::size_t kRatesBytes = 7 * 8;
+constexpr std::size_t kMinLog = 4 + 2 * 8 + 9 * 8 + 4 + 4 + 4;
+constexpr std::size_t kMinIsland = 4 * 8 + 8 + 8 + 2 * kRatesBytes + 1 + 8;
 
 // ---- payload builders ----
-
-void
-appendString(std::string* out, const std::string& s)
-{
-    appendLeU32(out, static_cast<std::uint32_t>(s.size()));
-    out->append(s);
-}
-
-void
-appendDouble(std::string* out, double v)
-{
-    appendLeU64(out, std::bit_cast<std::uint64_t>(v));
-}
 
 void
 appendIndividual(std::string* out, const Individual& ind)
 {
     appendString(out, mut::serializeEdits(ind.edits));
-    out->push_back(ind.fitness.valid ? 1 : 0);
-    appendLeU32(out,
-                static_cast<std::uint32_t>(ind.fitness.objectives.size()));
-    for (const double v : ind.fitness.objectives)
-        appendDouble(out, v);
-    appendString(out, ind.fitness.failReason);
+    encodeFitness(out, ind.fitness);
     out->push_back(ind.evaluated ? 1 : 0);
 }
 
@@ -89,172 +69,67 @@ appendLog(std::string* out, const GenerationLog& log)
         appendSamplerConfig(out, rates);
 }
 
-// ---- payload parsers ----
-
-/// Bounds-checked cursor over one payload. Every read* returns false on
-/// overrun; the caller maps any failure to Status::Corrupt.
-struct Cursor {
-    const char* p;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    bool
-    need(std::size_t n) const
-    {
-        return pos + n <= size;
-    }
-    bool
-    readU8(std::uint8_t* out)
-    {
-        if (!need(1))
-            return false;
-        *out = static_cast<std::uint8_t>(p[pos]);
-        pos += 1;
-        return true;
-    }
-    bool
-    readU32(std::uint32_t* out)
-    {
-        if (!need(4))
-            return false;
-        *out = readLeU32(p + pos);
-        pos += 4;
-        return true;
-    }
-    bool
-    readU64(std::uint64_t* out)
-    {
-        if (!need(8))
-            return false;
-        *out = readLeU64(p + pos);
-        pos += 8;
-        return true;
-    }
-    bool
-    readDouble(double* out)
-    {
-        std::uint64_t bits = 0;
-        if (!readU64(&bits))
-            return false;
-        *out = std::bit_cast<double>(bits);
-        return true;
-    }
-    bool
-    readString(std::string* out)
-    {
-        std::uint32_t len = 0;
-        if (!readU32(&len) || !need(len))
-            return false;
-        out->assign(p + pos, len);
-        pos += len;
-        return true;
-    }
-    bool
-    readSize(std::size_t* out)
-    {
-        std::uint64_t v = 0;
-        if (!readU64(&v))
-            return false;
-        *out = static_cast<std::size_t>(v);
-        return true;
-    }
-    bool
-    atEnd() const
-    {
-        return pos == size;
-    }
-};
+// ---- payload parsers (false = Corrupt) ----
 
 bool
-parseIndividual(Cursor* c, Individual* out)
+parseIndividual(ByteReader* in, Individual* out)
 {
     std::string edits;
-    std::uint8_t valid = 0;
-    std::uint8_t evaluated = 0;
-    if (!c->readString(&edits) || !mut::deserializeEdits(edits, &out->edits))
-        return false;
-    std::uint32_t objCount = 0;
-    if (!c->readU8(&valid) || !c->readU32(&objCount) || objCount > 64)
-        return false;
-    out->fitness.objectives.resize(objCount);
-    for (auto& v : out->fitness.objectives) {
-        if (!c->readDouble(&v))
-            return false;
-    }
-    if (!c->readString(&out->fitness.failReason) || !c->readU8(&evaluated))
-        return false;
-    out->fitness.valid = valid != 0;
-    out->evaluated = evaluated != 0;
-    return true;
+    return in->str(&edits) && mut::deserializeEdits(edits, &out->edits) &&
+           decodeFitness(in, &out->fitness) && in->flag(&out->evaluated);
 }
 
 bool
-parseSamplerConfig(Cursor* c, mut::SamplerConfig* out)
+parseSamplerConfig(ByteReader* in, mut::SamplerConfig* out)
 {
-    return c->readDouble(&out->wDelete) && c->readDouble(&out->wCopy) &&
-           c->readDouble(&out->wMove) && c->readDouble(&out->wReplace) &&
-           c->readDouble(&out->wSwap) && c->readDouble(&out->wOperand) &&
-           c->readDouble(&out->exploreFloor);
+    return in->f64(&out->wDelete) && in->f64(&out->wCopy) &&
+           in->f64(&out->wMove) && in->f64(&out->wReplace) &&
+           in->f64(&out->wSwap) && in->f64(&out->wOperand) &&
+           in->f64(&out->exploreFloor);
 }
 
 bool
-parseLog(Cursor* c, GenerationLog* out)
+parseLog(ByteReader* in, GenerationLog* out)
 {
     std::string edits;
-    std::uint32_t islandCount = 0;
-    if (!c->readU32(&out->generation) || !c->readDouble(&out->bestMs) ||
-        !c->readDouble(&out->meanMs) || !c->readSize(&out->validCount) ||
-        !c->readSize(&out->evaluations) || !c->readSize(&out->cacheHits) ||
-        !c->readSize(&out->cacheMisses) ||
-        !c->readSize(&out->workerCrashes) ||
-        !c->readSize(&out->workerTimeouts) ||
-        !c->readSize(&out->protocolErrors) ||
-        !c->readSize(&out->quarantineHits) ||
-        !c->readSize(&out->paretoFrontSize) || !c->readString(&edits) ||
+    std::size_t islandCount = 0;
+    if (!in->u32(&out->generation) || !in->f64(&out->bestMs) ||
+        !in->f64(&out->meanMs) || !in->size(&out->validCount) ||
+        !in->size(&out->evaluations) || !in->size(&out->cacheHits) ||
+        !in->size(&out->cacheMisses) || !in->size(&out->workerCrashes) ||
+        !in->size(&out->workerTimeouts) ||
+        !in->size(&out->protocolErrors) ||
+        !in->size(&out->quarantineHits) ||
+        !in->size(&out->paretoFrontSize) || !in->str(&edits) ||
         !mut::deserializeEdits(edits, &out->bestEdits) ||
-        !c->readU32(&islandCount))
+        !in->count32(&islandCount, 8))
         return false;
     out->islandBestMs.resize(islandCount);
     for (auto& ms : out->islandBestMs) {
-        if (!c->readDouble(&ms))
+        if (!in->f64(&ms))
             return false;
     }
-    std::uint32_t ratesCount = 0;
-    if (!c->readU32(&ratesCount) || ratesCount > 4096)
+    std::size_t ratesCount = 0;
+    if (!in->count32(&ratesCount, kRatesBytes) || ratesCount > 4096)
         return false;
     out->islandRates.resize(ratesCount);
     for (auto& rates : out->islandRates) {
-        if (!parseSamplerConfig(c, &rates))
+        if (!parseSamplerConfig(in, &rates))
             return false;
     }
     return true;
 }
 
-/// Pull the next CRC-framed record payload out of \p bytes at \p pos.
-/// False on truncation, oversize, or CRC mismatch — all Corrupt.
+/// Pull the next CRC record out of \p bytes at \p pos. False on
+/// truncation, oversize, or CRC mismatch — all Corrupt.
 bool
-nextRecord(const std::string& bytes, std::size_t* pos, Cursor* out)
+nextRecord(std::string_view bytes, std::size_t* pos, ByteReader* out)
 {
-    if (bytes.size() - *pos < kRecordHeader)
+    std::string_view payload;
+    if (readRecord(bytes, pos, &payload) != RecordStatus::Ok)
         return false;
-    const std::uint32_t len = readLeU32(bytes.data() + *pos);
-    const std::uint32_t crc = readLeU32(bytes.data() + *pos + 4);
-    if (len > kMaxPayload || bytes.size() - *pos - kRecordHeader < len)
-        return false;
-    const char* payload = bytes.data() + *pos + kRecordHeader;
-    if (crc32(payload, len) != crc)
-        return false;
-    *pos += kRecordHeader + len;
-    *out = Cursor{payload, len};
+    *out = ByteReader(payload);
     return true;
-}
-
-void
-appendRecord(std::string* out, const std::string& payload)
-{
-    appendLeU32(out, static_cast<std::uint32_t>(payload.size()));
-    appendLeU32(out, crc32(payload.data(), payload.size()));
-    out->append(payload);
 }
 
 } // namespace
@@ -304,32 +179,33 @@ loadCheckpoint(const std::string& path, std::uint64_t expectedScope)
     }
 
     std::size_t pos = kHeaderSize;
-    Cursor c{nullptr, 0};
+    ByteReader c;
 
     // meta: generation | finished | baselineMs | islands | history
     // | quarantine | pareto-front counts.
-    std::uint8_t finished = 0;
     std::size_t islandCount = 0;
     std::size_t historyCount = 0;
     std::size_t quarantineCount = 0;
     std::size_t frontCount = 0;
     if (!nextRecord(bytes, &pos, &c))
         return corrupt("meta record");
-    if (!c.readU32(&res.state.generation) || !c.readU8(&finished) ||
-        !c.readDouble(&res.state.baselineMs) ||
-        !c.readSize(&islandCount) || !c.readSize(&historyCount) ||
-        !c.readSize(&quarantineCount) || !c.readSize(&frontCount) ||
-        !c.atEnd())
+    if (!c.u32(&res.state.generation) || !c.flag(&res.state.finished) ||
+        !c.f64(&res.state.baselineMs) || !c.size(&islandCount) ||
+        !c.size(&historyCount) || !c.size(&quarantineCount) ||
+        !c.size(&frontCount) || !c.done())
         return corrupt("meta record");
-    res.state.finished = finished != 0;
     // Count sanity: a corrupted-but-CRC-valid meta must not drive
-    // gigabyte allocations.
+    // gigabyte allocations. Islands and history entries are one record
+    // each, so their counts must also fit in the rest of the file.
+    const std::size_t rest = bytes.size() - pos;
     if (islandCount > 4096 || historyCount > (1u << 24) ||
-        quarantineCount > (1u << 24) || frontCount > (1u << 24))
+        quarantineCount > (1u << 24) || frontCount > (1u << 24) ||
+        !countFits(islandCount, kRecordHeader + kMinIsland, rest) ||
+        !countFits(historyCount, kRecordHeader + kMinLog, rest))
         return corrupt("meta counts");
 
     if (!nextRecord(bytes, &pos, &c) ||
-        !parseIndividual(&c, &res.state.best) || !c.atEnd())
+        !parseIndividual(&c, &res.state.best) || !c.done())
         return corrupt("best-individual record");
 
     res.state.islands.resize(islandCount);
@@ -337,11 +213,12 @@ loadCheckpoint(const std::string& path, std::uint64_t expectedScope)
         if (!nextRecord(bytes, &pos, &c))
             return corrupt("island record");
         for (auto& word : island.rngState) {
-            if (!c.readU64(&word))
+            if (!c.u64(&word))
                 return corrupt("island record");
         }
         std::size_t memberCount = 0;
-        if (!c.readDouble(&island.bestMs) || !c.readSize(&memberCount) ||
+        if (!c.f64(&island.bestMs) ||
+            !c.count64(&memberCount, kMinIndividual) ||
             memberCount > (1u << 24))
             return corrupt("island record");
         island.members.resize(memberCount);
@@ -349,42 +226,41 @@ loadCheckpoint(const std::string& path, std::uint64_t expectedScope)
             if (!parseIndividual(&c, &member))
                 return corrupt("island member");
         }
-        std::uint8_t ratePending = 0;
         if (!parseSamplerConfig(&c, &island.rates) ||
             !parseSamplerConfig(&c, &island.candidateRates) ||
-            !c.readU8(&ratePending) ||
-            !c.readDouble(&island.rateLastBest))
+            !c.flag(&island.ratePending) || !c.f64(&island.rateLastBest))
             return corrupt("island rate state");
-        island.ratePending = ratePending != 0;
-        if (!c.atEnd())
+        if (!c.done())
             return corrupt("island record");
     }
 
     res.state.history.resize(historyCount);
     for (auto& log : res.state.history) {
         if (!nextRecord(bytes, &pos, &c) || !parseLog(&c, &log) ||
-            !c.atEnd())
+            !c.done())
             return corrupt("history record");
     }
 
-    if (!nextRecord(bytes, &pos, &c))
+    if (!nextRecord(bytes, &pos, &c) ||
+        !countFits(quarantineCount, 4, c.left()))
         return corrupt("quarantine record");
     res.state.quarantine.resize(quarantineCount);
     for (auto& key : res.state.quarantine) {
-        if (!c.readString(&key))
+        if (!c.str(&key))
             return corrupt("quarantine record");
     }
-    if (!c.atEnd())
+    if (!c.done())
         return corrupt("quarantine record");
 
-    if (!nextRecord(bytes, &pos, &c))
+    if (!nextRecord(bytes, &pos, &c) ||
+        !countFits(frontCount, kMinIndividual, c.left()))
         return corrupt("pareto-front record");
     res.state.paretoFront.resize(frontCount);
     for (auto& ind : res.state.paretoFront) {
         if (!parseIndividual(&c, &ind))
             return corrupt("pareto-front record");
     }
-    if (!c.atEnd())
+    if (!c.done())
         return corrupt("pareto-front record");
 
     // One consistent state means exactly these records: trailing bytes
@@ -450,37 +326,12 @@ saveCheckpoint(const std::string& path, std::uint64_t scope,
         appendIndividual(&payload, ind);
     appendRecord(&out, payload);
 
-    // Same atomic-replace discipline as saveCacheStore: process-unique
-    // temp, then rename over the target.
-    static std::atomic<std::uint64_t> saveCounter{0};
-    const std::string tmp = strformat(
-        "%s.tmp.%llu.%llu", path.c_str(),
-        static_cast<unsigned long long>(::getpid()),
-        static_cast<unsigned long long>(
-            saveCounter.fetch_add(1, std::memory_order_relaxed)));
-    {
-        std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-        if (!file) {
-            if (error)
-                *error = "cannot open '" + tmp + "' for writing";
-            return false;
-        }
-        file.write(out.data(), static_cast<std::streamsize>(out.size()));
-        file.flush();
-        if (!file.good()) {
-            if (error)
-                *error = "write to '" + tmp + "' failed";
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        if (error)
-            *error = "rename '" + tmp + "' -> '" + path + "' failed";
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return replaceFile(
+        path,
+        [&](std::ostream& file) {
+            file.write(out.data(), static_cast<std::streamsize>(out.size()));
+        },
+        error);
 }
 
 } // namespace gevo::core

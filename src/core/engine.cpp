@@ -41,24 +41,10 @@ void
 countFailure(GenerationLog* log, EvalFailure failure)
 {
     switch (failure) {
-      // The remote kinds fold into the three original counters (a lost
-      // connection is a crashed worker, a blown RPC deadline is a
-      // timeout, a rejected handshake is a protocol fault), so the
-      // --dump-history line format is identical across backends.
-      case EvalFailure::WorkerCrash:
-      case EvalFailure::ConnectionLost:
-        ++log->workerCrashes;
-        break;
-      case EvalFailure::WorkerTimeout:
-      case EvalFailure::RpcTimeout:
-        ++log->workerTimeouts;
-        break;
-      case EvalFailure::ProtocolError:
-      case EvalFailure::HandshakeRejected:
-        ++log->protocolErrors;
-        break;
-      case EvalFailure::None:
-        break;
+      case EvalFailure::WorkerCrash: ++log->workerCrashes; break;
+      case EvalFailure::WorkerTimeout: ++log->workerTimeouts; break;
+      case EvalFailure::ProtocolError: ++log->protocolErrors; break;
+      case EvalFailure::None: break;
     }
 }
 
@@ -117,18 +103,13 @@ EvolutionEngine::EvolutionEngine(const ir::Module& base,
     if (params_.migrationCount >= params_.populationSize)
         GEVO_FATAL("migrationCount (%u) must be below populationSize (%u)",
                    params_.migrationCount, params_.populationSize);
-    if (params_.backend == EvalBackendKind::Isolated &&
+    if (params_.backend != EvalBackendKind::InProcess &&
         params_.evalTimeoutMs == 0)
-        GEVO_FATAL("evalTimeoutMs must be > 0 with the isolated backend "
-                   "(the watchdog needs a budget)");
-    if (params_.backend == EvalBackendKind::Remote) {
-        if (params_.workers.empty())
-            GEVO_FATAL("the remote backend needs --workers "
-                       "(comma-separated host:port or unix:/path)");
-        if (params_.evalTimeoutMs == 0)
-            GEVO_FATAL("evalTimeoutMs must be > 0 with the remote backend "
-                       "(the per-evaluation deadline needs a budget)");
-    }
+        GEVO_FATAL("evalTimeoutMs must be > 0 out of process "
+                   "(the per-evaluation deadline needs a budget)");
+    if (params_.backend == EvalBackendKind::Remote && params_.workers.empty())
+        GEVO_FATAL("the remote backend needs --workers "
+                   "(comma-separated host:port or unix:/path)");
     if (params_.resume && params_.checkpointPath.empty())
         GEVO_FATAL("resume requires a checkpointPath");
     params_.sampler.validate();

@@ -7,40 +7,45 @@
 /// dispatch per generation (core/engine.h); this interface owns that
 /// dispatch. Two implementations:
 ///
-///   InProcessBackend — the thread pool the engine always had, extracted
-///   verbatim: every evaluation runs in the engine's own address space.
-///   Fastest, and trajectory-identical to the pre-backend engine, but a
-///   variant whose simulation segfaults, aborts or hangs kills the whole
-///   search (GEVO-scale campaigns are 256 x 300 ~ 77k evaluations of
-///   adversarially mutated programs — hours of wall clock riding on every
-///   one of them behaving).
+///   InProcessBackend — the engine's thread pool: every evaluation runs
+///   in the engine's own address space. Fastest, but a variant whose
+///   simulation segfaults, aborts or hangs kills the whole search
+///   (GEVO-scale campaigns are 256 x 300 ~ 77k evaluations of
+///   adversarially mutated programs — hours of wall clock riding on
+///   every one of them behaving).
 ///
-///   IsolatedBackend — fork-per-batch worker processes on a pipe
-///   protocol with a per-evaluation wall-clock watchdog. A variant that
-///   crashes, OOMs or hangs its worker is reaped and scored as a
-///   deterministic invalid-individual penalty carrying an EvalFailure
-///   tag; the engine quarantines the genotype by content key so it is
-///   never dispatched again. Workers are forked at batch start, so they
-///   inherit the parent's base module, fitness function and (read-only,
-///   copy-on-write) program cache with zero serialization.
+///   RemoteBackend (farm/client.h) — one out-of-process transport for
+///   everything else: the farm protocol (farm/protocol.h) to worker
+///   sessions (farm/session.h), with a per-evaluation deadline, two-strike
+///   redispatch and a local fallback. `--backend=remote` dials
+///   gevo-workerd daemons; `--backend=isolated` dials local forks — a
+///   socketpair plus fork() per worker at batch start, each child
+///   serving its end with a WorkerSession and inheriting the base module,
+///   the fitness function and a copy-on-write snapshot of the caller's
+///   program cache with zero serialization. A variant that crashes, hangs
+///   or garbles its worker is reaped and scored as a deterministic
+///   invalid-individual penalty carrying an EvalFailure tag; the engine
+///   quarantines the genotype by content key so it is never dispatched
+///   again.
 ///
-/// Both backends produce identical FitnessResults for every evaluation
+/// Every backend produces identical FitnessResults for every evaluation
 /// that completes — fitness is a deterministic function of the edit list
 /// — so the search trajectory is backend-independent as long as no fault
-/// fires. Only the cache/simulation counters may differ (isolated workers
-/// cannot share within-batch program-cache hits across process
+/// fires. Only the cache/simulation counters may differ (out-of-process
+/// workers cannot share within-batch program-cache hits across process
 /// boundaries).
 ///
 /// Fault injection (testing): the GEVO_FAULT_INJECT environment variable
 /// deterministically injects failures by global evaluation sequence
 /// number, e.g. "crash@12" (the 13th dispatched evaluation segfaults),
-/// "hang@3" (sleeps until the watchdog kills it), "garbage@7" (an
-/// isolated worker writes a malformed response frame), with a comma-
-/// separated list and a "+" suffix meaning "this one and every later
-/// evaluation" ("crash@5+"). Crash and hang apply to both backends (in
-/// process they take the host down — that is the demonstration); garbage
-/// is isolated-only. The spec is re-read per backend construction and
-/// sequence numbers are per-backend, so tests stay independent.
+/// "hang@3" (sleeps until the deadline kills it), "garbage@7" (the worker
+/// writes a malformed response frame), with a comma-separated list and a
+/// "+" suffix meaning "this one and every later evaluation" ("crash@5+").
+/// Crash and hang apply to every backend (in process they take the host
+/// down — that is the demonstration); the frame-level kinds fire in
+/// worker sessions (core/fault_inject.h). The in-process and isolated
+/// backends parse the spec at construction, in the host process, and
+/// sequence numbers are per backend, so tests stay independent.
 
 #ifndef GEVO_CORE_EVAL_BACKEND_H
 #define GEVO_CORE_EVAL_BACKEND_H
@@ -63,21 +68,12 @@ namespace gevo::core {
 /// a property of the variant, not of the evaluation machinery).
 enum class EvalFailure : std::uint8_t {
     None = 0,
-    WorkerCrash,   ///< The evaluating process died (segfault/abort/OOM).
-    WorkerTimeout, ///< The watchdog killed an evaluation over budget.
+    WorkerCrash,   ///< The worker died or hung up mid-evaluation.
+    WorkerTimeout, ///< No reply within the per-evaluation deadline.
     ProtocolError, ///< The worker returned an undecodable response.
-    // Remote-backend (farm) kinds. GenerationLog counters fold these into
-    // the three above (connection loss counts as a crash, an RPC deadline
-    // as a timeout, a handshake rejection as a protocol error) so the
-    // --dump-history format is backend-independent.
-    ConnectionLost,    ///< The transport died mid-evaluation, repeatedly.
-    HandshakeRejected, ///< Every redispatch landed on a worker that now
-                       ///< rejects the trajectory-scope handshake.
-    RpcTimeout,        ///< No reply within the per-evaluation deadline.
 };
 
-/// Human-readable failure name ("crash", "timeout", "protocol",
-/// "connection-lost", "handshake-rejected", "rpc-timeout").
+/// Human-readable failure name ("none", "crash", "timeout", "protocol").
 std::string_view evalFailureName(EvalFailure failure);
 
 /// Outcome of one dispatched evaluation.
@@ -89,6 +85,12 @@ struct EvalOutcome {
     /// Compile stage ran and the verifier rejected the variant.
     bool rejected = false;
 };
+
+/// The deterministic invalid-individual penalty for an evaluation that
+/// failed with \p failure (not None) under a \p timeoutMs deadline. No
+/// pids, hosts or timestamps: the same variant scores the same penalty on
+/// every run and every backend.
+EvalOutcome failedEvaluation(EvalFailure failure, std::uint32_t timeoutMs);
 
 /// Executes one generation's batch of fitness evaluations. Implementations
 /// must be deterministic per task: outcome[i] depends only on batch[i]
@@ -112,16 +114,16 @@ class EvaluationBackend {
     virtual std::string describe() const = 0;
 };
 
-/// Backend implied by \p params (threads, backend kind, watchdog budget).
+/// Backend implied by \p params (threads, backend kind, deadline).
 /// \p base and \p fitness must outlive the backend.
 std::unique_ptr<EvaluationBackend>
 makeBackend(const ir::Module& base, const FitnessFunction& fitness,
             const EvolutionParams& params);
 
-/// The fault-tolerant socket client over the farm protocol
-/// (`params.workers` = comma-separated "host:port" / "unix:/path" list).
-/// Defined in farm/client.cpp; makeBackend routes
-/// EvalBackendKind::Remote here.
+/// The fault-tolerant client over the farm protocol: `params.threads`
+/// local forks for EvalBackendKind::Isolated, the `params.workers` list
+/// (comma-separated "host:port" / "unix:/path") for Remote. Defined in
+/// farm/client.cpp; makeBackend routes both kinds here.
 std::unique_ptr<EvaluationBackend>
 makeRemoteBackend(const ir::Module& base, const FitnessFunction& fitness,
                   const EvolutionParams& params);
@@ -133,7 +135,8 @@ makeRemoteBackend(const ir::Module& base, const FitnessFunction& fitness,
 /// (every task simulated, no cache lookups). \p programKeyOut, when
 /// non-null, receives the program content key of a fresh simulation
 /// (out-of-process workers ship it back so the caller's live cache learns
-/// the result). Shared by every backend and the farm worker session.
+/// the result). Shared by the in-process backend, the remote backend's
+/// local fallback and the worker session.
 EvalOutcome
 evaluateTask(const VariantCompiler& compiler, const FitnessFunction& fitness,
              const std::vector<mut::Edit>& edits, VariantCache* programCache,

@@ -1,8 +1,9 @@
 /// \file
-/// Deterministic fault injection for the evaluation backends and the
-/// farm (GEVO_FAULT_INJECT). Shared by the in-process/isolated backends
-/// (core/eval_backend.cpp) and the remote worker session
-/// (farm/session.cpp) so one spec can drive every failure path.
+/// Deterministic fault injection for the evaluation backends
+/// (GEVO_FAULT_INJECT). Shared by the in-process backend
+/// (core/eval_backend.cpp) and the worker session (farm/session.cpp) that
+/// serves both the isolated backend's forks and remote daemons, so one
+/// spec can drive every failure path.
 ///
 /// Spec grammar: a comma-separated list of `kind@N` entries, firing when
 /// the global evaluation sequence number equals N (or any later number
@@ -10,18 +11,18 @@
 ///
 ///   crash      — the evaluating process raises SIGSEGV.
 ///   hang       — the evaluation sleeps until a watchdog kills it.
-///   garbage    — an isolated/farm worker writes a malformed frame.
-///   disconnect — a farm worker closes the connection instead of
-///                replying (network-layer death, no process exit code).
-///   delay      — a farm worker replies, but only after sleeping past
-///                the client's per-evaluation deadline.
-///   truncate   — a farm worker sends a partial frame, then closes
+///   garbage    — a worker writes a malformed frame.
+///   disconnect — a worker closes the connection instead of replying
+///                (transport death, no process exit code).
+///   delay      — a worker replies, but only after sleeping past the
+///                client's per-evaluation deadline.
+///   truncate   — a worker sends a partial frame, then closes
 ///                (mid-frame peer loss).
 ///
-/// The network kinds are meaningless to the in-process and isolated
-/// backends and are ignored there, so a single spec can drive a test
-/// that compares backends. Malformed specs are fatal user errors — a
-/// silently ignored fault spec would make a crash test vacuously green.
+/// The frame-level kinds (garbage and below) are meaningless to the
+/// in-process backend and are ignored there, so a single spec can drive
+/// a test that compares backends. Malformed specs are fatal user errors —
+/// a silently ignored fault spec would make a crash test vacuously green.
 
 #ifndef GEVO_CORE_FAULT_INJECT_H
 #define GEVO_CORE_FAULT_INJECT_H

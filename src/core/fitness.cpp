@@ -11,6 +11,7 @@
 #include "ir/verifier.h"
 #include "mutation/patch.h"
 #include "opt/passes.h"
+#include "support/bytes.h"
 
 namespace gevo::core {
 
@@ -223,6 +224,30 @@ evaluateVariant(const ir::Module& base, const std::vector<mut::Edit>& edits,
     if (!cv.ok)
         return FitnessResult::fail(cv.failReason);
     return scoreVariant(fitness, cv);
+}
+
+void
+encodeFitness(std::string* out, const FitnessResult& result)
+{
+    out->push_back(result.valid ? 1 : 0);
+    appendLeU32(out, static_cast<std::uint32_t>(result.objectives.size()));
+    for (const double v : result.objectives)
+        appendDouble(out, v);
+    appendString(out, result.failReason);
+}
+
+bool
+decodeFitness(ByteReader* in, FitnessResult* out)
+{
+    std::size_t count = 0;
+    if (!in->flag(&out->valid) || !in->count32(&count, 8) || count > 64)
+        return false;
+    out->objectives.resize(count);
+    for (auto& v : out->objectives) {
+        if (!in->f64(&v))
+            return false;
+    }
+    return in->str(&out->failReason);
 }
 
 } // namespace gevo::core

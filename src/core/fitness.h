@@ -32,6 +32,10 @@
 #include "sim/executor.h"
 #include "sim/program.h"
 
+namespace gevo {
+class ByteReader;
+}
+
 namespace gevo::core {
 
 /// Outcome of evaluating one variant: a vector of minimized objective
@@ -114,6 +118,15 @@ struct FitnessResult {
         return r;
     }
 };
+
+/// The one byte encoding of a FitnessResult, shared by the checkpoint,
+/// the cache store and the farm protocol: u8 valid | u32 objective count
+/// | count x f64 bits | u32-prefixed failReason (support/bytes.h).
+void encodeFitness(std::string* out, const FitnessResult& result);
+/// Inverse of encodeFitness. False on overrun or more than 64 objectives.
+bool decodeFitness(ByteReader* in, FitnessResult* out);
+/// Smallest encoded FitnessResult, for element-count checks.
+inline constexpr std::size_t kMinEncodedFitness = 1 + 4 + 4;
 
 /// Output of the compile stage: a patched, cleaned, verified module with
 /// every kernel decoded once. Move-only (owns the module).

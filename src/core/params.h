@@ -22,8 +22,9 @@ enum class EvalBackendKind : std::uint8_t {
     /// address space. Fastest; a variant that crashes or hangs the
     /// simulator takes the whole search down with it.
     InProcess,
-    /// Fork-per-batch worker processes on a pipe protocol with a
-    /// per-evaluation wall-clock watchdog: a variant that segfaults,
+    /// Local worker processes, forked per batch, served over the farm
+    /// protocol (the Remote transport with fork endpoints) with a
+    /// per-evaluation wall-clock deadline: a variant that segfaults,
     /// aborts, OOMs or hangs kills only its worker. The failure is scored
     /// as a deterministic invalid-individual penalty and the genotype is
     /// quarantined so it is never dispatched again.
@@ -162,14 +163,12 @@ struct EvolutionParams {
     // ---- robustness (crash isolation + durable search state) ----
     /// Evaluation backend. InProcess is trajectory-identical to the
     /// pre-backend engine; Isolated survives worker crashes/hangs at the
-    /// cost of fork/pipe overhead per generation.
+    /// cost of forking workers and a request/reply codec per evaluation.
     EvalBackendKind backend = EvalBackendKind::InProcess;
-    /// Per-evaluation wall-clock watchdog budget, applied uniformly to
-    /// every out-of-process path: the isolated backend kills the worker
-    /// and scores a WorkerTimeout penalty; the remote backend treats a
-    /// silent connection as dead after this budget (RpcTimeout after the
-    /// redispatch strikes are exhausted). Ignored by the in-process
-    /// backend.
+    /// Per-evaluation wall-clock deadline for the out-of-process
+    /// backends: a worker silent past it is dropped (a forked one is
+    /// killed) and the evaluation redispatched; the second strike scores
+    /// a WorkerTimeout penalty. Ignored by the in-process backend.
     std::uint32_t evalTimeoutMs = 30000;
     /// Remote-backend worker endpoints: comma-separated "host:port" or
     /// "unix:/path" entries. Required when backend == Remote.

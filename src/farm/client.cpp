@@ -7,13 +7,18 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include "core/fault_inject.h"
 #include "farm/endpoint.h"
 #include "farm/protocol.h"
+#include "farm/session.h"
 #include "support/io.h"
 #include "support/logging.h"
 #include "support/strings.h"
@@ -27,11 +32,13 @@ using core::EvalOutcome;
 
 /// Redispatch budget per evaluation: the first strike forgives a worker
 /// dying underneath an innocent request; the second writes the variant
-/// off as the likely killer (matching the isolated backend's
-/// one-respawn-then-penalize discipline at dispatch).
+/// off as the likely killer.
 constexpr std::uint8_t kStrikes = 2;
-/// Requests pipelined per connection: one being evaluated, one queued
-/// behind it so the worker never idles between evaluations.
+/// Requests pipelined per network connection: one being evaluated, one
+/// queued behind it so the worker never idles between evaluations. Fork
+/// endpoints take one at a time: a socketpair has no round trip to hide,
+/// and a request queued behind a straggler would stretch the generation
+/// barrier.
 constexpr std::size_t kPipelineDepth = 2;
 /// Consecutive failed dials before a worker is declared gone for the
 /// rest of the run.
@@ -54,12 +61,23 @@ class RemoteBackend final : public core::EvaluationBackend {
                   const core::EvolutionParams& params)
         : compiler_(base), fitness_(fitness),
           timeoutMs_(params.evalTimeoutMs),
-          scope_(trajectoryScope(compiler_, fitness))
+          scope_(trajectoryScope(compiler_, fitness)),
+          forks_(params.backend == core::EvalBackendKind::Isolated)
     {
-        GEVO_ASSERT(timeoutMs_ > 0, "remote deadline needs a budget");
+        GEVO_ASSERT(timeoutMs_ > 0, "the deadline needs a budget");
         // A worker vanishing mid-send must surface as a write error on
         // the socket, not a process-killing SIGPIPE.
         std::signal(SIGPIPE, SIG_IGN);
+        if (forks_) {
+            // Parsed here so a malformed spec dies in the host, not in a
+            // forked child. Forks are dialed per batch (evaluateBatch).
+            faults_ = core::parseFaultSpecs();
+            forkCount_ = params.threads != 0
+                             ? params.threads
+                             : std::max(1u,
+                                        std::thread::hardware_concurrency());
+            return;
+        }
         for (const auto& part : split(params.workers, ',')) {
             const auto spec = trim(part);
             if (spec.empty())
@@ -93,12 +111,12 @@ class RemoteBackend final : public core::EvaluationBackend {
                 counters_.handshakeRejects + counters_.localEvals >
             0;
         (faulty ? warn : inform)(
-            "remote backend: %llu dispatched, %llu redispatched, "
+            "%s backend: %llu dispatched, %llu redispatched, "
             "%llu disconnects, %llu crc errors, %llu rpc timeouts, "
             "%llu handshake rejects, %llu reconnects, %llu local "
             "evaluations",
-            counters_.dispatched, counters_.redispatched,
-            counters_.disconnects, counters_.crcErrors,
+            name(), counters_.dispatched,
+            counters_.redispatched, counters_.disconnects, counters_.crcErrors,
             counters_.rpcTimeouts, counters_.handshakeRejects,
             counters_.reconnects, counters_.localEvals);
     }
@@ -129,6 +147,14 @@ class RemoteBackend final : public core::EvaluationBackend {
         settled_ = 0;
         seqBase_ = seqBase;
         batchSize_ = batch.size();
+        if (forks_) {
+            // Fresh forks per batch, so each serves a copy-on-write
+            // snapshot of the caller's program cache as of this batch.
+            programCache_ = programCache;
+            remotes_.assign(std::min(forkCount_, batch.size()), Remote{});
+            for (auto& r : remotes_)
+                r.ep.spec = "fork";
+        }
 
         heartbeat();
         while (settled_ < batchSize_) {
@@ -140,6 +166,16 @@ class RemoteBackend final : public core::EvaluationBackend {
             dispatchPending();
             pollOnce(programCache);
         }
+        if (forks_) {
+            // Kill every fork before reaping any, so their exits overlap.
+            for (auto& r : remotes_) {
+                if (r.pid > 0)
+                    ::kill(r.pid, SIGKILL);
+            }
+            for (auto& r : remotes_)
+                closeRemote(&r);
+            remotes_.clear();
+        }
         tasks_.clear();
         pending_.clear();
         out_ = nullptr;
@@ -148,8 +184,8 @@ class RemoteBackend final : public core::EvaluationBackend {
     std::string
     describe() const override
     {
-        return strformat("remote x%zu (deadline %u ms)", remotes_.size(),
-                         timeoutMs_);
+        return strformat("%s x%zu (deadline %u ms)", name(),
+                         forks_ ? forkCount_ : remotes_.size(), timeoutMs_);
     }
 
   private:
@@ -160,9 +196,9 @@ class RemoteBackend final : public core::EvaluationBackend {
     struct Remote {
         Endpoint ep;
         int fd = -1;
-        bool up = false;       ///< Connected and handshaken.
-        bool rejected = false; ///< Handshake rejected: never redial.
-        bool gone = false;     ///< Permanently unusable this run.
+        pid_t pid = -1;        ///< Fork endpoints: the serving child.
+        bool up = false;       ///< Handshaken (forks: Hello sent).
+        bool gone = false;     ///< Unusable for the run (forks: batch).
         std::uint32_t attempts = 0; ///< Consecutive failed dials.
         Clock::time_point nextAttempt = Clock::time_point::min();
         bool everUp = false;
@@ -190,6 +226,12 @@ class RemoteBackend final : public core::EvaluationBackend {
         unsigned long long localEvals = 0;
     };
 
+    const char*
+    name() const
+    {
+        return forks_ ? "isolated" : "remote";
+    }
+
     bool
     anyUp() const
     {
@@ -210,41 +252,18 @@ class RemoteBackend final : public core::EvaluationBackend {
         if (r->fd >= 0)
             ::close(r->fd);
         r->fd = -1;
+        if (r->pid > 0) {
+            // A fork worker goes with its connection. SIGKILL, because it
+            // may be wedged in a hostile variant; reap, so no zombie
+            // outlives the batch.
+            ::kill(r->pid, SIGKILL);
+            while (::waitpid(r->pid, nullptr, 0) < 0 && errno == EINTR) {
+            }
+            r->pid = -1;
+        }
         r->up = false;
         r->reader.reset();
         r->inflight.clear();
-    }
-
-    /// The deterministic penalty for an evaluation the farm could not
-    /// complete (no hostnames, no timestamps: the same variant scores
-    /// the same penalty on every run).
-    EvalOutcome
-    penaltyOutcome(EvalFailure failure) const
-    {
-        EvalOutcome out;
-        out.failure = failure;
-        switch (failure) {
-          case EvalFailure::ConnectionLost:
-            out.result = core::FitnessResult::fail(
-                "remote evaluation connection lost");
-            break;
-          case EvalFailure::RpcTimeout:
-            out.result = core::FitnessResult::fail(
-                strformat("remote evaluation exceeded the %u ms deadline",
-                          timeoutMs_));
-            break;
-          case EvalFailure::ProtocolError:
-            out.result = core::FitnessResult::fail(
-                "remote worker protocol error");
-            break;
-          case EvalFailure::HandshakeRejected:
-            out.result = core::FitnessResult::fail(
-                "remote worker rejected the trajectory handshake");
-            break;
-          default:
-            GEVO_PANIC("penaltyOutcome(%d)", static_cast<int>(failure));
-        }
-        return out;
     }
 
     /// Record a strike against \p task. The second strike settles it as
@@ -256,10 +275,10 @@ class RemoteBackend final : public core::EvaluationBackend {
         Task& t = tasks_[task];
         ++t.strikes;
         t.lastStrike = kind;
-        if (kind == EvalFailure::RpcTimeout)
+        if (kind == EvalFailure::WorkerTimeout)
             ++counters_.rpcTimeouts;
         if (t.strikes >= kStrikes) {
-            (*out_)[task] = penaltyOutcome(kind);
+            (*out_)[task] = core::failedEvaluation(kind, timeoutMs_);
             t.settled = true;
             ++settled_;
         } else {
@@ -298,52 +317,72 @@ class RemoteBackend final : public core::EvaluationBackend {
         for (auto& r : remotes_) {
             if (!r.up || !r.inflight.empty())
                 continue;
-            const std::string frame = [&] {
-                std::string f;
-                appendFrame(&f, encodePing(nextSeq_));
-                return f;
-            }();
-            if (!writeAll(r.fd, frame.data(), frame.size()))
-                connectionLost(&r, EvalFailure::ConnectionLost);
+            if (!sendFrame(r.fd, encodePing(nextSeq_)))
+                connectionLost(&r, EvalFailure::WorkerCrash);
         }
     }
 
-    void
-    tryConnect(Remote* r)
+    /// Dial a fork endpoint: socketpair(2) plus fork(). The child serves
+    /// its end with a WorkerSession against the batch's program-cache
+    /// snapshot, then exits without unwinding. Returns the parent end, or
+    /// -1 when either call fails.
+    int
+    dialFork(Remote* r)
     {
-        std::string error;
-        const int fd = connectEndpoint(r->ep, kConnectTimeoutMs, &error);
-        if (fd < 0) {
-            ++r->attempts;
-            r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
-            return;
+        int sv[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+            return -1;
+        const pid_t pid = ::fork();
+        if (pid < 0) {
+            ::close(sv[0]);
+            ::close(sv[1]);
+            return -1;
         }
+        if (pid == 0) {
+            // Hold no sibling's parent-side end: it would keep that
+            // sibling's socket open after the parent closes it, so the
+            // sibling would never see EOF.
+            ::close(sv[0]);
+            for (const auto& other : remotes_) {
+                if (other.fd >= 0)
+                    ::close(other.fd);
+            }
+            WorkerSession session(compiler_, fitness_, scope_, "local fork",
+                                  programCache_, faults_);
+            session.serve(sv[1]);
+            std::_Exit(0);
+        }
+        ::close(sv[1]);
+        r->pid = pid;
+        return sv[0];
+    }
+
+    bool
+    sendHello(int fd)
+    {
         HelloMsg hello;
         hello.scope = scope_;
         hello.timeoutMs = timeoutMs_;
-        std::string frame;
-        appendFrame(&frame, encodeHello(hello));
-        if (!writeAll(fd, frame.data(), frame.size())) {
-            ::close(fd);
-            ++r->attempts;
-            r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
-            return;
-        }
-        // Await the HelloOk/HelloReject verdict within a hard budget.
+        return sendFrame(fd, encodeHello(hello));
+    }
+
+    /// Send Hello on \p fd and wait, within a hard budget, for the
+    /// worker's verdict frame. False when the peer hangs up, corrupts the
+    /// stream or stays silent.
+    bool
+    handshake(int fd, std::string* verdict)
+    {
+        if (!sendHello(fd))
+            return false;
         FrameReader reader;
-        std::string payload;
         const auto deadline =
             Clock::now() + std::chrono::milliseconds(kHandshakeTimeoutMs);
         for (;;) {
-            const auto st = reader.next(&payload);
+            const auto st = reader.next(verdict);
             if (st == FrameReader::Status::Frame)
-                break;
-            if (st == FrameReader::Status::Corrupt || Clock::now() >= deadline) {
-                ::close(fd);
-                ++r->attempts;
-                r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
-                return;
-            }
+                return true;
+            if (st == FrameReader::Status::Corrupt || Clock::now() >= deadline)
+                return false;
             pollfd pfd{fd, POLLIN, 0};
             const auto left =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -357,17 +396,28 @@ class RemoteBackend final : public core::EvaluationBackend {
             const ssize_t n = rc > 0 ? ::read(fd, tmp, sizeof(tmp)) : 0;
             if (rc > 0 && n < 0 && errno == EINTR)
                 continue;
-            if (rc == 0 || n <= 0) {
-                ::close(fd);
-                ++r->attempts;
-                r->nextAttempt = Clock::now() + backoffAfter(r->attempts);
-                return;
-            }
+            if (rc == 0 || n <= 0)
+                return false;
             reader.push(tmp, static_cast<std::size_t>(n));
         }
+    }
+
+    void
+    tryConnect(Remote* r)
+    {
+        std::string error;
+        r->fd = forks_ ? dialFork(r)
+                       : connectEndpoint(r->ep, kConnectTimeoutMs, &error);
+        std::string verdict;
         std::string text;
-        if (decodeHelloOk(payload, &text)) {
-            r->fd = fd;
+        // A fork runs this process's own compiler and fitness, so its
+        // scope matches by construction: send the Hello but do not wait
+        // for the verdict (handleFrame drains the HelloOk).
+        const bool accepted =
+            r->fd >= 0 && (forks_ ? sendHello(r->fd)
+                                  : handshake(r->fd, &verdict) &&
+                                        decodeHelloOk(verdict, &text));
+        if (accepted) {
             r->up = true;
             r->attempts = 0;
             if (r->everUp)
@@ -375,16 +425,15 @@ class RemoteBackend final : public core::EvaluationBackend {
             r->everUp = true;
             return;
         }
-        ::close(fd);
-        if (decodeHelloReject(payload, &text)) {
+        closeRemote(r);
+        if (decodeHelloReject(verdict, &text)) {
             // Wrong trajectory scope or protocol version: this daemon
             // can never serve this search. Same verdict a mismatched
             // checkpoint gets — refuse, loudly.
-            warn("remote worker %s rejected the handshake (%s); "
+            warn("worker %s rejected the handshake (%s); "
                  "abandoning it for this run",
                  r->ep.spec.c_str(), text.c_str());
             ++counters_.handshakeRejects;
-            r->rejected = true;
             r->gone = true;
             return;
         }
@@ -400,7 +449,7 @@ class RemoteBackend final : public core::EvaluationBackend {
             if (r.up || r.gone)
                 continue;
             if (r.attempts >= kMaxConnectAttempts) {
-                warn("remote worker %s unreachable after %u dial "
+                warn("worker %s unreachable after %u dial "
                      "attempts; abandoning it for this run",
                      r.ep.spec.c_str(), r.attempts);
                 r.gone = true;
@@ -416,9 +465,10 @@ class RemoteBackend final : public core::EvaluationBackend {
     {
         while (!pending_.empty()) {
             Remote* target = nullptr;
+            const std::size_t depth = forks_ ? 1 : kPipelineDepth;
             for (std::size_t k = 0; k < remotes_.size(); ++k) {
                 Remote& r = remotes_[(rrCursor_ + k) % remotes_.size()];
-                if (r.up && r.inflight.size() < kPipelineDepth) {
+                if (r.up && r.inflight.size() < depth) {
                     target = &r;
                     rrCursor_ = (rrCursor_ + k + 1) % remotes_.size();
                     break;
@@ -432,7 +482,7 @@ class RemoteBackend final : public core::EvaluationBackend {
                 // The dial looked live but the send failed: strike the
                 // connection's front (if any) and retry this task on the
                 // next loop — it was never in flight here.
-                connectionLost(target, EvalFailure::ConnectionLost);
+                connectionLost(target, EvalFailure::WorkerCrash);
                 continue;
             }
             pending_.pop_front();
@@ -479,7 +529,7 @@ class RemoteBackend final : public core::EvaluationBackend {
         const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                               timeout);
         if (rc < 0 && errno != EINTR)
-            GEVO_PANIC("remote backend: poll failed: %s",
+            GEVO_PANIC("%s backend: poll failed: %s", name(),
                        std::strerror(errno));
         if (rc > 0) {
             for (std::size_t k = 0; k < fds.size(); ++k) {
@@ -493,7 +543,7 @@ class RemoteBackend final : public core::EvaluationBackend {
         const auto after = Clock::now();
         for (auto& r : remotes_) {
             if (r.up && !r.inflight.empty() && after >= r.frontDeadline)
-                connectionLost(&r, EvalFailure::RpcTimeout);
+                connectionLost(&r, EvalFailure::WorkerTimeout);
         }
     }
 
@@ -505,7 +555,7 @@ class RemoteBackend final : public core::EvaluationBackend {
         if (n < 0 && (errno == EINTR || errno == EAGAIN))
             return;
         if (n <= 0) {
-            connectionLost(r, EvalFailure::ConnectionLost);
+            connectionLost(r, EvalFailure::WorkerCrash);
             return;
         }
         r->reader.push(tmp, static_cast<std::size_t>(n));
@@ -533,6 +583,10 @@ class RemoteBackend final : public core::EvaluationBackend {
         switch (payloadType(payload)) {
           case MsgType::Pong:
             return true;
+          case MsgType::HelloOk:
+            if (forks_)
+                return true;
+            break;
           case MsgType::EvalResult: {
             EvalReply reply;
             if (!decodeEvalReply(payload, &reply))
@@ -554,8 +608,7 @@ class RemoteBackend final : public core::EvaluationBackend {
             tasks_[task].settled = true;
             ++settled_;
             // The worker's program-cache insert lives in its process;
-            // replay it into ours (exactly the isolated backend's
-            // parent-side replay).
+            // replay it into ours.
             if (programCache != nullptr && !reply.programKey.empty())
                 programCache->insert(reply.programKey,
                                      reply.outcome.result);
@@ -579,8 +632,9 @@ class RemoteBackend final : public core::EvaluationBackend {
                   core::VariantCache* programCache)
     {
         if (!warnedFallback_) {
-            warn("remote backend: every worker is gone; continuing with "
-                 "local in-process evaluation");
+            warn("%s backend: every worker is gone; continuing with "
+                 "local in-process evaluation",
+                 name());
             warnedFallback_ = true;
         }
         while (!pending_.empty()) {
@@ -590,7 +644,8 @@ class RemoteBackend final : public core::EvaluationBackend {
             if (t.settled)
                 continue;
             if (t.strikes > 0) {
-                (*out_)[task] = penaltyOutcome(t.lastStrike);
+                (*out_)[task] =
+                    core::failedEvaluation(t.lastStrike, timeoutMs_);
             } else {
                 ++counters_.localEvals;
                 (*out_)[task] = core::evaluateTask(compiler_, fitness_,
@@ -602,10 +657,16 @@ class RemoteBackend final : public core::EvaluationBackend {
         }
     }
 
-    core::VariantCompiler compiler_; ///< Local fallback + scope hash.
+    /// Local fallback + scope hash. Precompiled before any fork, so fork
+    /// workers inherit the cleaned base and decoded programs for free.
+    core::VariantCompiler compiler_;
     const core::FitnessFunction& fitness_;
     std::uint32_t timeoutMs_;
     std::uint64_t scope_;
+    /// Isolated backend: the endpoints are local forks, dialed per batch.
+    bool forks_;
+    std::size_t forkCount_ = 0;
+    std::vector<core::FaultSpec> faults_; ///< Fork sessions' schedule.
     std::vector<Remote> remotes_;
     std::size_t rrCursor_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -618,6 +679,8 @@ class RemoteBackend final : public core::EvaluationBackend {
     std::size_t batchSize_ = 0;
     /// The current batch's output vector (valid within evaluateBatch).
     std::vector<EvalOutcome>* out_ = nullptr;
+    /// The current batch's program cache; fork workers snapshot it.
+    core::VariantCache* programCache_ = nullptr;
 
     Counters counters_;
     bool warnedFallback_ = false;

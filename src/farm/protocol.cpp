@@ -1,10 +1,8 @@
 #include "farm/protocol.h"
 
-#include <bit>
-
-#include "core/cache_store.h" // crc32 — same framing as the pipe protocol.
 #include "core/variant_cache.h"
 #include "support/bytes.h"
+#include "support/io.h"
 
 namespace gevo::farm {
 
@@ -12,9 +10,15 @@ void
 appendFrame(std::string* out, std::string_view payload)
 {
     appendLeU32(out, kFrameMagic);
-    appendLeU32(out, static_cast<std::uint32_t>(payload.size()));
-    appendLeU32(out, core::crc32(payload.data(), payload.size()));
-    out->append(payload);
+    appendRecord(out, payload);
+}
+
+bool
+sendFrame(int fd, std::string_view payload)
+{
+    std::string frame;
+    appendFrame(&frame, payload);
+    return writeAll(fd, frame.data(), frame.size());
 }
 
 FrameReader::Status
@@ -22,97 +26,30 @@ FrameReader::next(std::string* payload)
 {
     if (buf_.size() < kFrameHeader)
         return Status::NeedMore;
-    const std::uint32_t magic = readLeU32(buf_.data());
-    const std::uint32_t len = readLeU32(buf_.data() + 4);
-    const std::uint32_t crc = readLeU32(buf_.data() + 8);
-    if (magic != kFrameMagic || len > kMaxFramePayload)
+    if (readLeU32(buf_.data()) != kFrameMagic)
         return Status::Corrupt;
-    if (buf_.size() - kFrameHeader < len)
+    std::size_t pos = 4;
+    std::string_view body;
+    switch (readRecord(buf_, &pos, &body)) {
+      case RecordStatus::Truncated:
         return Status::NeedMore;
-    const char* body = buf_.data() + kFrameHeader;
-    if (core::crc32(body, len) != crc)
+      case RecordStatus::Corrupt:
         return Status::Corrupt;
-    payload->assign(body, len);
-    buf_.erase(0, kFrameHeader + len);
+      case RecordStatus::Ok:
+        break;
+    }
+    payload->assign(body);
+    buf_.erase(0, pos);
     return Status::Frame;
 }
 
 namespace {
 
-void
-appendString(std::string* out, std::string_view s)
-{
-    appendLeU32(out, static_cast<std::uint32_t>(s.size()));
-    out->append(s);
-}
-
-/// Bounds-checked sequential payload reader.
-struct Cursor {
-    const char* p;
-    std::size_t left;
-
-    explicit Cursor(std::string_view payload)
-        : p(payload.data()), left(payload.size())
-    {
-    }
-
-    bool
-    u8(std::uint8_t* out)
-    {
-        if (left < 1)
-            return false;
-        *out = static_cast<std::uint8_t>(*p);
-        ++p;
-        --left;
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t* out)
-    {
-        if (left < 4)
-            return false;
-        *out = readLeU32(p);
-        p += 4;
-        left -= 4;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t* out)
-    {
-        if (left < 8)
-            return false;
-        *out = readLeU64(p);
-        p += 8;
-        left -= 8;
-        return true;
-    }
-
-    bool
-    str(std::string* out)
-    {
-        std::uint32_t n = 0;
-        if (!u32(&n) || left < n)
-            return false;
-        out->assign(p, n);
-        p += n;
-        left -= n;
-        return true;
-    }
-
-    bool
-    done() const
-    {
-        return left == 0;
-    }
-};
-
 bool
-expectType(Cursor* c, MsgType want)
+expectType(ByteReader* in, MsgType want)
 {
     std::uint8_t t = 0;
-    return c->u8(&t) && t == static_cast<std::uint8_t>(want);
+    return in->u8(&t) && t == static_cast<std::uint8_t>(want);
 }
 
 } // namespace
@@ -163,12 +100,7 @@ encodeEvalReply(const EvalReply& reply)
     std::string p;
     p.push_back(static_cast<char>(MsgType::EvalResult));
     appendLeU64(&p, reply.seq);
-    p.push_back(reply.outcome.result.valid ? 1 : 0);
-    appendLeU32(&p, static_cast<std::uint32_t>(
-                        reply.outcome.result.objectives.size()));
-    for (const double v : reply.outcome.result.objectives)
-        appendLeU64(&p, std::bit_cast<std::uint64_t>(v));
-    appendString(&p, reply.outcome.result.failReason);
+    core::encodeFitness(&p, reply.outcome.result);
     p.push_back(reply.outcome.simulated ? 1 : 0);
     p.push_back(reply.outcome.rejected ? 1 : 0);
     appendString(&p, reply.programKey);
@@ -204,7 +136,7 @@ payloadType(std::string_view payload)
 bool
 decodeHello(std::string_view payload, HelloMsg* out)
 {
-    Cursor c(payload);
+    ByteReader c(payload);
     return expectType(&c, MsgType::Hello) && c.u32(&out->version) &&
            c.u64(&out->scope) && c.u32(&out->timeoutMs) && c.done();
 }
@@ -212,7 +144,7 @@ decodeHello(std::string_view payload, HelloMsg* out)
 bool
 decodeHelloOk(std::string_view payload, std::string* description)
 {
-    Cursor c(payload);
+    ByteReader c(payload);
     return expectType(&c, MsgType::HelloOk) && c.str(description) &&
            c.done();
 }
@@ -220,62 +152,44 @@ decodeHelloOk(std::string_view payload, std::string* description)
 bool
 decodeHelloReject(std::string_view payload, std::string* reason)
 {
-    Cursor c(payload);
+    ByteReader c(payload);
     return expectType(&c, MsgType::HelloReject) && c.str(reason) && c.done();
 }
 
 bool
 decodeEvalRequest(std::string_view payload, EvalRequest* out)
 {
-    Cursor c(payload);
-    std::uint8_t useCache = 0;
+    ByteReader c(payload);
     std::string editsText;
     if (!expectType(&c, MsgType::Eval) || !c.u64(&out->seq) ||
-        !c.u8(&useCache) || !c.str(&editsText) || !c.done())
+        !c.flag(&out->useCache) || !c.str(&editsText) || !c.done())
         return false;
-    out->useCache = useCache != 0;
     return mut::deserializeEdits(editsText, &out->edits);
 }
 
 bool
 decodeEvalReply(std::string_view payload, EvalReply* out)
 {
-    Cursor c(payload);
-    std::uint8_t valid = 0;
-    std::uint32_t objCount = 0;
-    std::uint8_t simulated = 0;
-    std::uint8_t rejected = 0;
-    if (!expectType(&c, MsgType::EvalResult) || !c.u64(&out->seq) ||
-        !c.u8(&valid) || !c.u32(&objCount) || objCount > 64)
-        return false;
-    out->outcome.result.objectives.resize(objCount);
-    for (auto& v : out->outcome.result.objectives) {
-        std::uint64_t bits = 0;
-        if (!c.u64(&bits))
-            return false;
-        v = std::bit_cast<double>(bits);
-    }
-    if (!c.str(&out->outcome.result.failReason) || !c.u8(&simulated) ||
-        !c.u8(&rejected) || !c.str(&out->programKey) || !c.done())
-        return false;
-    out->outcome.result.valid = valid != 0;
-    out->outcome.simulated = simulated != 0;
-    out->outcome.rejected = rejected != 0;
+    ByteReader c(payload);
     out->outcome.failure = core::EvalFailure::None;
-    return true;
+    return expectType(&c, MsgType::EvalResult) && c.u64(&out->seq) &&
+           core::decodeFitness(&c, &out->outcome.result) &&
+           c.flag(&out->outcome.simulated) &&
+           c.flag(&out->outcome.rejected) && c.str(&out->programKey) &&
+           c.done();
 }
 
 bool
 decodePing(std::string_view payload, std::uint64_t* nonce)
 {
-    Cursor c(payload);
+    ByteReader c(payload);
     return expectType(&c, MsgType::Ping) && c.u64(nonce) && c.done();
 }
 
 bool
 decodePong(std::string_view payload, std::uint64_t* nonce)
 {
-    Cursor c(payload);
+    ByteReader c(payload);
     return expectType(&c, MsgType::Pong) && c.u64(nonce) && c.done();
 }
 

@@ -1,11 +1,13 @@
 /// \file
-/// Wire protocol for the distributed evaluation farm: the same
-/// length+CRC framed "GEVR" encoding the isolated backend speaks over
-/// pipes (core/eval_backend.cpp), carried over a socket with a typed
-/// message layer on top.
+/// Wire protocol for out-of-process evaluation: every evaluation that
+/// leaves the engine's address space travels in these frames, whether to
+/// a gevo-workerd daemon over TCP or a Unix socket (--backend=remote) or
+/// to a forked local worker over a socketpair (--backend=isolated).
 ///
-/// Frame: u32 magic "GEVR" | u32 payloadLen | u32 crc32(payload) |
-/// payload. The first payload byte is the message type. A FrameReader
+/// Frame: u32 magic "GEVR" followed by one CRC record (support/bytes.h):
+/// u32 payloadLen | u32 crc32(payload) | payload. The first payload byte
+/// is the message type; results carry their FitnessResult in the shared
+/// encoding (core::encodeFitness). A FrameReader
 /// reassembles frames from arbitrary read() chunk boundaries (TCP does
 /// not respect frames) and flags corruption — bad magic, oversized
 /// length, CRC mismatch — without ever throwing or crashing: a
@@ -32,6 +34,7 @@
 #include "core/eval_backend.h"
 #include "core/fitness.h"
 #include "mutation/edit.h"
+#include "support/bytes.h"
 
 namespace gevo::farm {
 
@@ -42,10 +45,10 @@ constexpr std::uint32_t kFarmProtocolVersion = 2;
 
 /// Frame header: u32 magic | u32 payloadLen | u32 crc32(payload).
 constexpr std::uint32_t kFrameMagic = 0x52564547u; // "GEVR"
-constexpr std::size_t kFrameHeader = 12;
+constexpr std::size_t kFrameHeader = 4 + kRecordHeader;
 /// Sanity bound on one payload (edit lists, fail reasons and program
 /// keys are at most tens of KB); anything larger is corruption.
-constexpr std::size_t kMaxFramePayload = std::size_t{1} << 26;
+constexpr std::size_t kMaxFramePayload = kMaxRecordPayload;
 
 enum class MsgType : std::uint8_t {
     Hello = 1,
@@ -59,6 +62,9 @@ enum class MsgType : std::uint8_t {
 
 /// Append one complete frame (header + payload) to \p out.
 void appendFrame(std::string* out, std::string_view payload);
+
+/// Frame \p payload and write it to \p fd. False when the peer is gone.
+bool sendFrame(int fd, std::string_view payload);
 
 /// Incremental frame reassembly from arbitrary chunk boundaries.
 class FrameReader {
@@ -107,7 +113,7 @@ struct EvalRequest {
 
 /// Worker → client evaluation result: the EvalOutcome fields plus the
 /// program content key of a fresh simulation (the client replays the
-/// insert into its live cache, same as the isolated backend's parent).
+/// insert into its live cache).
 struct EvalReply {
     std::uint64_t seq = 0;
     core::EvalOutcome outcome;

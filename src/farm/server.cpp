@@ -77,6 +77,11 @@ runWorkerServer(const ir::Module& base,
     // and decoded programs by copy-on-write.
     const core::VariantCompiler compiler(base);
     const std::uint64_t scope = trajectoryScope(compiler, fitness);
+    // Each session child serves from its copy-on-write snapshot of this
+    // cache, so repeat programs across a client's generations cost one
+    // simulation.
+    core::VariantCache cache;
+    const auto faults = core::parseFaultSpecs();
 
     Endpoint ep;
     std::string error;
@@ -126,7 +131,8 @@ runWorkerServer(const ir::Module& base,
             installHandler(SIGINT, SIG_DFL);
             installHandler(SIGTERM, SIG_DFL);
             ::close(listenFd);
-            WorkerSession session(compiler, fitness, scope, opts.banner);
+            WorkerSession session(compiler, fitness, scope, opts.banner,
+                                  &cache, faults);
             session.serve(conn);
             ::close(conn);
             std::_Exit(0);

@@ -14,14 +14,6 @@ namespace gevo::farm {
 
 namespace {
 
-bool
-sendFrame(int fd, std::string_view payload)
-{
-    std::string frame;
-    appendFrame(&frame, payload);
-    return writeAll(fd, frame.data(), frame.size());
-}
-
 void
 sleepMs(std::uint64_t ms)
 {
@@ -36,9 +28,11 @@ sleepMs(std::uint64_t ms)
 
 WorkerSession::WorkerSession(const core::VariantCompiler& compiler,
                              const core::FitnessFunction& fitness,
-                             std::uint64_t scope, std::string banner)
+                             std::uint64_t scope, std::string banner,
+                             core::VariantCache* cache,
+                             std::vector<core::FaultSpec> faults)
     : compiler_(compiler), fitness_(fitness), scope_(scope),
-      banner_(std::move(banner)), faults_(core::parseFaultSpecs())
+      banner_(std::move(banner)), cache_(cache), faults_(std::move(faults))
 {
 }
 
@@ -143,10 +137,9 @@ WorkerSession::handleEval(int fd, const std::string& payload)
         ::alarm(static_cast<unsigned>(clientTimeoutMs_ * 2 / 1000 + 2));
     EvalReply reply;
     reply.seq = req.seq;
-    reply.outcome =
-        core::evaluateTask(compiler_, fitness_, req.edits,
-                           req.useCache ? &cache_ : nullptr,
-                           req.useCache ? &reply.programKey : nullptr);
+    core::VariantCache* cache = req.useCache ? cache_ : nullptr;
+    reply.outcome = core::evaluateTask(compiler_, fitness_, req.edits, cache,
+                                       cache ? &reply.programKey : nullptr);
     ::alarm(0);
     ++served_;
     return sendFrame(fd, encodeEvalReply(reply));

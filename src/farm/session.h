@@ -1,15 +1,16 @@
 /// \file
 /// One farm worker connection: handshake, then serve Eval requests until
-/// the peer goes away. Runs in a short-lived child process forked by the
-/// WorkerServer (farm/server.h), so a crashing or hanging variant takes
-/// down only the session — the daemon accepts the client's reconnect
-/// with a fresh process.
+/// the peer goes away. Runs in a short-lived child process — forked per
+/// accepted connection by the WorkerServer (farm/server.h), or per batch
+/// by the isolated backend (farm/client.cpp) — so a crashing or hanging
+/// variant takes down only the session; the client redials a fresh one.
 
 #ifndef GEVO_FARM_SESSION_H
 #define GEVO_FARM_SESSION_H
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/fault_inject.h"
 #include "core/fitness.h"
@@ -21,12 +22,18 @@ namespace gevo::farm {
 class WorkerSession {
   public:
     /// \p compiler and \p fitness must outlive the session. \p scope is
-    /// the daemon's trajectory-scope fingerprint (protocol.h); a Hello
+    /// the worker's trajectory-scope fingerprint (protocol.h); a Hello
     /// carrying any other scope is rejected. \p banner is echoed in
-    /// HelloOk for client-side logs.
+    /// HelloOk for client-side logs. \p cache serves requests that ask
+    /// for the cached path (null: every request takes the
+    /// compile-per-call path); entries are values of the deterministic
+    /// fitness function, so hits and misses score identically. \p faults
+    /// is the injected-fault schedule (core/fault_inject.h), parsed by
+    /// the process that forks the session.
     WorkerSession(const core::VariantCompiler& compiler,
                   const core::FitnessFunction& fitness, std::uint64_t scope,
-                  std::string banner);
+                  std::string banner, core::VariantCache* cache = nullptr,
+                  std::vector<core::FaultSpec> faults = {});
 
     /// Serve one connection until EOF, error, or corruption. Never
     /// throws and never exits the process on peer misbehavior (a peer
@@ -46,12 +53,8 @@ class WorkerSession {
     const core::FitnessFunction& fitness_;
     std::uint64_t scope_;
     std::string banner_;
+    core::VariantCache* cache_;
     std::vector<core::FaultSpec> faults_;
-    /// Session-local program-content cache: repeat programs across a
-    /// client's generations are served without re-simulation. Purely an
-    /// optimization — entries are values of the deterministic fitness
-    /// function, so hits and misses score identically.
-    core::VariantCache cache_;
     std::uint32_t clientTimeoutMs_ = 0;
     std::size_t served_ = 0;
 };

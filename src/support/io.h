@@ -1,17 +1,20 @@
 /// \file
-/// EINTR-safe full-buffer read/write on file descriptors, shared by the
-/// isolated backend's pipe protocol (core/eval_backend.cpp) and the farm
-/// socket protocol (src/farm/). Short reads and writes are retried until
-/// the buffer completes or the peer is genuinely gone — a peer closing
-/// mid-frame surfaces as `false` here and as a ProtocolError/connection
-/// loss at the protocol layer, never as process death (callers ignore
-/// SIGPIPE).
+/// Whole-buffer I/O: EINTR-safe full writes to a file descriptor, used
+/// by the one out-of-process evaluation transport (the farm protocol over
+/// sockets and socketpairs, src/farm/), and atomic whole-file replacement
+/// for the checkpoint and cache-store files. Short writes are retried
+/// until the buffer completes or the peer is genuinely gone — a peer
+/// closing mid-frame surfaces as `false` here and as a connection loss at
+/// the protocol layer, never as process death (callers ignore SIGPIPE).
 
 #ifndef GEVO_SUPPORT_IO_H
 #define GEVO_SUPPORT_IO_H
 
 #include <cerrno>
 #include <cstddef>
+#include <functional>
+#include <iosfwd>
+#include <string>
 
 #include <unistd.h>
 
@@ -35,25 +38,14 @@ writeAll(int fd, const char* p, std::size_t n)
     return true;
 }
 
-/// Read exactly \p n bytes, retrying short reads and EINTR. False on a
-/// hard error or EOF mid-buffer.
-inline bool
-readFull(int fd, char* p, std::size_t n)
-{
-    while (n > 0) {
-        const ssize_t r = ::read(fd, p, n);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (r == 0)
-            return false; // EOF mid-message.
-        p += r;
-        n -= static_cast<std::size_t>(r);
-    }
-    return true;
-}
+/// Atomically replace \p path with what \p write streams out: write a
+/// process-unique `path + ".tmp.<pid>.<n>"`, then rename it over the
+/// target, so readers only ever see a complete old or a complete new file
+/// and concurrent savers cannot tear each other's temp files. False with
+/// \p error set on I/O failure; the previous file, if any, is left intact.
+bool replaceFile(const std::string& path,
+                 const std::function<void(std::ostream&)>& write,
+                 std::string* error);
 
 } // namespace gevo
 

@@ -20,6 +20,7 @@
 #include "sim/device_memory.h"
 #include "sim/executor.h"
 #include "sim/program.h"
+#include "support/bytes.h"
 
 namespace gevo::core {
 namespace {
@@ -366,6 +367,43 @@ TEST(Checkpoint, TrailingBytesRejectTheWholeFile)
     writeFile(path, readFile(path) + "spare bytes");
     const auto load = loadCheckpoint(path, 42);
     EXPECT_EQ(load.status, CheckpointLoadResult::Status::Corrupt);
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, HugeCountInACrcValidRecordIsCorrupt)
+{
+    // A history record whose islandBestMs count claims far more doubles
+    // than the record holds, with a recomputed (valid) CRC: the loader
+    // must reject the count against the bytes left, not allocate for it
+    // (2^32-1 used to throw std::bad_alloc out of loadCheckpoint; 1e8
+    // zeroed 800 MB before the record was rejected).
+    CheckpointState st;
+    st.history = {GenerationLog{}};
+    const auto path = tmpPath("hugecount");
+    ASSERT_TRUE(saveCheckpoint(path, 42, st));
+    const auto clean = readFile(path);
+    // Header (magic, version, scope), then the meta and best-individual
+    // records; with no islands the history record comes next.
+    std::size_t pos = 8 + 4 + 8;
+    for (int record = 0; record < 2; ++record)
+        pos += 8 + readLeU32(clean.data() + pos);
+    const std::uint32_t len = readLeU32(clean.data() + pos);
+    ASSERT_EQ(len, 104u); // Empty edit list, no islands, no rates.
+    const std::size_t payload = pos + 8;
+    const std::size_t countAt = payload + 4 + 2 * 8 + 9 * 8 + 4;
+    for (const std::uint32_t count : {0xffffffffu, 100000000u}) {
+        auto bytes = clean;
+        std::string field;
+        appendLeU32(&field, count);
+        bytes.replace(countAt, 4, field);
+        std::string crc;
+        appendLeU32(&crc, crc32(bytes.data() + payload, len));
+        bytes.replace(pos + 4, 4, crc);
+        writeFile(path, bytes);
+        const auto load = loadCheckpoint(path, 42);
+        EXPECT_EQ(load.status, CheckpointLoadResult::Status::Corrupt)
+            << "count " << count;
+    }
     std::remove(path.c_str());
 }
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
+
+#include <sys/wait.h>
 
 #include "core/engine.h"
 #include "ir/parser.h"
@@ -200,6 +203,10 @@ TEST(EvalBackend, HangIsKilledByTheWatchdog)
         timeouts += log.workerTimeouts;
     EXPECT_EQ(timeouts, 1u);
     EXPECT_EQ(result.quarantined, 1u);
+    // Every worker — the hung one included — was killed and reaped.
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(EvalBackend, GarbageResponseIsAProtocolError)

@@ -8,7 +8,8 @@
 ///   - losing every worker degrades to local evaluation, the search
 ///     still finishes, and the trajectory is still identical;
 ///   - injected farm faults (disconnect / delay / truncate / garbage)
-///     settle as the documented deterministic penalties and counters.
+///     settle as the documented deterministic penalties and counters,
+///     over remote daemons and the isolated backend's local forks alike.
 
 #include "farm/server.h"
 
@@ -16,7 +17,9 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
@@ -356,20 +359,29 @@ struct FaultCase {
     std::uint32_t timeoutMs;
 };
 
-class FarmFaults : public ::testing::TestWithParam<FaultCase> {};
+/// Run over both out-of-process backends: remote workerd daemons and
+/// the isolated backend's local forks share the transport, so they meet
+/// the same frame-level faults.
+class FarmFaults
+    : public ::testing::TestWithParam<std::tuple<FaultCase, EvalBackendKind>> {
+};
 
 TEST_P(FarmFaults, IsPenalizedOnceAndSearchCompletes)
 {
-    const auto& fault = GetParam();
+    const auto& [fault, backend] = GetParam();
     const auto mod = toyModule();
     ToyFitness fitness;
-    ScopedFaultInject inject(fault.spec); // Before the daemon forks.
-    ToyWorker w0(mod, fitness), w1(mod, fitness);
+    ScopedFaultInject inject(fault.spec); // Before any worker forks.
     auto params = smallParams();
     params.useCache = false; // Every individual dispatched, every gen.
-    params.backend = EvalBackendKind::Remote;
-    params.workers = workerList({&w0, &w1});
+    params.backend = backend;
     params.evalTimeoutMs = fault.timeoutMs;
+    std::optional<ToyWorker> w0, w1;
+    if (backend == EvalBackendKind::Remote) {
+        w0.emplace(mod, fitness);
+        w1.emplace(mod, fitness);
+        params.workers = workerList({&*w0, &*w1});
+    }
     const auto result = EvolutionEngine(mod, fitness, params).run();
 
     ASSERT_EQ(result.history.size(), params.generations);
@@ -382,18 +394,24 @@ TEST_P(FarmFaults, IsPenalizedOnceAndSearchCompletes)
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, FarmFaults,
-    ::testing::Values(
-        // Connection loss folds into the crash counter.
-        FaultCase{"disconnect@7", &FailureTally::crashes, 10000},
-        // A reply truncated mid-frame is indistinguishable from death.
-        FaultCase{"truncate@7", &FailureTally::crashes, 10000},
-        // A blown per-evaluation deadline is a timeout.
-        FaultCase{"delay@7", &FailureTally::timeouts, 5000},
-        // An undecodable byte stream is a protocol error.
-        FaultCase{"garbage@7", &FailureTally::protocol, 10000}),
+    ::testing::Combine(
+        ::testing::Values(
+            // Connection loss folds into the crash counter.
+            FaultCase{"disconnect@7", &FailureTally::crashes, 10000},
+            // A reply truncated mid-frame is indistinguishable from death.
+            FaultCase{"truncate@7", &FailureTally::crashes, 10000},
+            // A blown per-evaluation deadline is a timeout.
+            FaultCase{"delay@7", &FailureTally::timeouts, 5000},
+            // An undecodable byte stream is a protocol error.
+            FaultCase{"garbage@7", &FailureTally::protocol, 10000}),
+        ::testing::Values(EvalBackendKind::Remote,
+                          EvalBackendKind::Isolated)),
     [](const auto& info) {
-        std::string name = info.param.spec;
-        return name.substr(0, name.find('@'));
+        const std::string spec = std::get<0>(info.param).spec;
+        return spec.substr(0, spec.find('@')) +
+               (std::get<1>(info.param) == EvalBackendKind::Remote
+                    ? "_remote"
+                    : "_isolated");
     });
 
 } // namespace
