@@ -1,9 +1,13 @@
 /// \file
 /// Scalar evaluation semantics for pure ALU/Cmp/Cvt opcodes.
 ///
-/// Both the SIMT interpreter (per lane) and the constant-folding pass call
-/// into these inline helpers, so "what the optimizer assumes" and "what the
+/// Both the SIMT interpreters and the constant-folding pass call into
+/// these inline helpers, so "what the optimizer assumes" and "what the
 /// machine does" cannot diverge — a property the differential tests assert.
+/// The trace interpreter's lane loops (sim/lane_alu.h) instantiate
+/// evalScalar once per opcode with the opcode a compile-time constant, so
+/// the switch below folds to one case and no lane pays a dispatch; keep
+/// it a header-inline function for that reason.
 
 #ifndef GEVO_IR_EVAL_H
 #define GEVO_IR_EVAL_H
@@ -50,6 +54,56 @@ fromI32(std::int32_t v)
     return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
 }
 
+/// Quiet bit of an f32 NaN.
+constexpr std::uint32_t kF32QuietBit = 0x00400000u;
+
+/// Register value of an f32 arithmetic result \p r computed from the
+/// operands \p first and \p second, with the NaN payload fixed by rule.
+///
+/// IEEE 754 leaves the payload of a NaN result open, and x86 returns the
+/// NaN of whichever operand the compiler placed first, an order it may
+/// swap for add and mul — so two inlined copies of evalScalar could
+/// disagree. The rule makes every copy agree: the first NaN among
+/// (first, second), quieted; the x86 default NaN when an invalid
+/// operation (inf - inf, 0 * inf, 0 / 0) made a NaN from non-NaNs.
+inline std::uint64_t
+f32Result(float r, std::uint64_t first, std::uint64_t second)
+{
+    if (!std::isnan(r))
+        return fromF32(r);
+    if (std::isnan(asF32(first)))
+        return static_cast<std::uint32_t>(first) | kF32QuietBit;
+    if (std::isnan(asF32(second)))
+        return static_cast<std::uint32_t>(second) | kF32QuietBit;
+    return 0xffc00000u;
+}
+
+/// Register value of fmin (\p max false) or fmax of the f32 operands \p a
+/// and \p b, spelled out rather than left to the C library: compilers
+/// treat fmin/fmax as commutative and may swap the operands, which
+/// changes the result for two NaNs and for zeros of opposite sign. The
+/// rule is what x86-64 glibc's fminf/fmaxf return for (a, b): a quiet NaN
+/// operand yields the other operand, a signaling one (or two NaNs)
+/// yields the first NaN quieted, and ordered operands compare with
+/// minss/maxss semantics (`a < b ? a : b`, so min(-0, +0) is +0).
+inline std::uint64_t
+f32MinMax(bool max, std::uint64_t a, std::uint64_t b)
+{
+    const float x = asF32(a);
+    const float y = asF32(b);
+    if (!std::isnan(x) && !std::isnan(y))
+        return fromF32(max ? (x > y ? x : y) : (x < y ? x : y));
+    const auto quietNaN = [](std::uint64_t v) {
+        return std::isnan(asF32(v)) &&
+               (static_cast<std::uint32_t>(v) & kF32QuietBit) != 0;
+    };
+    if (!std::isnan(x) && quietNaN(b))
+        return fromF32(x);
+    if (!std::isnan(y) && quietNaN(a))
+        return fromF32(y);
+    return f32Result(x + y, a, b);
+}
+
 /// True when an opcode is evaluable by evalScalar (pure ALU/Cmp/Cvt).
 bool isScalarEvaluable(Opcode op);
 
@@ -57,6 +111,9 @@ bool isScalarEvaluable(Opcode op);
 ///
 /// Division/remainder by zero produce 0 (GPU-like non-trapping semantics);
 /// INT_MIN / -1 produces INT_MIN; float-to-int saturates and maps NaN to 0.
+/// A NaN from add.f32 carries b's payload when b is a NaN, and one from
+/// sub/mul/div.f32 a's (see f32Result); that order reproduces the
+/// results of GCC x86-64 builds, where it was left to the compiler.
 inline std::uint64_t
 evalScalar(Opcode op, std::uint64_t a, std::uint64_t b = 0,
            std::uint64_t c = 0)
@@ -123,12 +180,12 @@ evalScalar(Opcode op, std::uint64_t a, std::uint64_t b = 0,
         return i64(a) > i64(b) ? a : b;
 
       // ---- f32 ----
-      case Opcode::AddF32: return fromF32(asF32(a) + asF32(b));
-      case Opcode::SubF32: return fromF32(asF32(a) - asF32(b));
-      case Opcode::MulF32: return fromF32(asF32(a) * asF32(b));
-      case Opcode::DivF32: return fromF32(asF32(a) / asF32(b));
-      case Opcode::MinF32: return fromF32(std::fmin(asF32(a), asF32(b)));
-      case Opcode::MaxF32: return fromF32(std::fmax(asF32(a), asF32(b)));
+      case Opcode::AddF32: return f32Result(asF32(a) + asF32(b), b, a);
+      case Opcode::SubF32: return f32Result(asF32(a) - asF32(b), a, b);
+      case Opcode::MulF32: return f32Result(asF32(a) * asF32(b), a, b);
+      case Opcode::DivF32: return f32Result(asF32(a) / asF32(b), a, b);
+      case Opcode::MinF32: return f32MinMax(false, a, b);
+      case Opcode::MaxF32: return f32MinMax(true, a, b);
 
       // ---- bitwise ----
       case Opcode::And: return a & b;

@@ -4,23 +4,6 @@
 
 namespace gevo::ir {
 
-std::uint32_t
-memWidthBytes(MemWidth width)
-{
-    switch (width) {
-      case MemWidth::None: return 0;
-      case MemWidth::I8:
-      case MemWidth::U8: return 1;
-      case MemWidth::I16:
-      case MemWidth::U16: return 2;
-      case MemWidth::I32:
-      case MemWidth::U32:
-      case MemWidth::F32: return 4;
-      case MemWidth::I64: return 8;
-    }
-    return 0;
-}
-
 std::string_view
 memSpaceName(MemSpace space)
 {

@@ -49,8 +49,24 @@ enum class AtomicOp : std::uint8_t {
     Cas, ///< ops = [addr, compare, new]; dest = old value.
 };
 
-/// Byte size of \p width accesses.
-std::uint32_t memWidthBytes(MemWidth width);
+/// Byte size of \p width accesses (inline: the interpreter calls it per
+/// lane on every memory access).
+inline std::uint32_t
+memWidthBytes(MemWidth width)
+{
+    switch (width) {
+      case MemWidth::None: return 0;
+      case MemWidth::I8:
+      case MemWidth::U8: return 1;
+      case MemWidth::I16:
+      case MemWidth::U16: return 2;
+      case MemWidth::I32:
+      case MemWidth::U32:
+      case MemWidth::F32: return 4;
+      case MemWidth::I64: return 8;
+    }
+    return 0;
+}
 /// Textual name of a MemSpace ("global"/"shared"/"local").
 std::string_view memSpaceName(MemSpace space);
 /// Textual name of a MemWidth ("i32", "f32", ...).

@@ -30,17 +30,4 @@ DeviceMemory::reset()
     std::fill(data_.begin(), data_.end(), 0);
 }
 
-std::int64_t
-DeviceMemory::mappedEnd() const
-{
-    const std::int64_t rounded = (used_ + kPage - 1) / kPage * kPage;
-    return rounded < capacity() ? rounded : capacity();
-}
-
-bool
-DeviceMemory::mapped(std::int64_t addr, std::int64_t size) const
-{
-    return addr >= 0 && size >= 0 && addr + size <= mappedEnd();
-}
-
 } // namespace gevo::sim

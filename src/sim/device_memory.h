@@ -24,6 +24,16 @@ namespace gevo::sim {
 /// Device pointer: byte offset into the arena (passed to kernels as i64).
 using DevPtr = std::int64_t;
 
+/// True when [addr, addr+size) lies inside [0, limit). Overflow-free: a
+/// kernel-computed address near INT64_MAX would wrap `addr + size`
+/// negative and pass a naive `addr + size <= limit` test. Every
+/// simulated address space (global, shared, local) checks through this.
+inline bool
+inBounds(std::int64_t addr, std::int64_t size, std::int64_t limit)
+{
+    return addr >= 0 && size >= 0 && size <= limit && addr <= limit - size;
+}
+
 /// Simulated global memory.
 class DeviceMemory {
   public:
@@ -45,7 +55,12 @@ class DeviceMemory {
     /// Bytes handed out so far (before page rounding).
     std::int64_t used() const { return used_; }
     /// End of the mapped region (page-rounded used()).
-    std::int64_t mappedEnd() const;
+    std::int64_t
+    mappedEnd() const
+    {
+        const std::int64_t rounded = (used_ + kPage - 1) / kPage * kPage;
+        return rounded < capacity() ? rounded : capacity();
+    }
     /// Arena capacity.
     std::int64_t capacity() const
     {
@@ -53,8 +68,13 @@ class DeviceMemory {
     }
 
     /// True when [addr, addr+size) is mapped (readable/writable without a
-    /// fault). Negative addresses are never mapped.
-    bool mapped(std::int64_t addr, std::int64_t size) const;
+    /// fault). Negative addresses are never mapped. Inline: the
+    /// interpreter checks every global lane access through it.
+    bool
+    mapped(std::int64_t addr, std::int64_t size) const
+    {
+        return inBounds(addr, size, mappedEnd());
+    }
 
     /// Raw arena bytes (host-side access for drivers and validators).
     std::uint8_t* raw() { return data_.data(); }
@@ -66,14 +86,14 @@ class DeviceMemory {
     void
     copyIn(DevPtr dst, const void* src, std::int64_t bytes)
     {
-        GEVO_ASSERT(dst >= 0 && dst + bytes <= capacity(), "copyIn OOB");
+        GEVO_ASSERT(inBounds(dst, bytes, capacity()), "copyIn OOB");
         std::memcpy(data_.data() + dst, src, bytes);
     }
     /// Read device memory into a host buffer.
     void
     copyOut(void* dst, DevPtr src, std::int64_t bytes) const
     {
-        GEVO_ASSERT(src >= 0 && src + bytes <= capacity(), "copyOut OOB");
+        GEVO_ASSERT(inBounds(src, bytes, capacity()), "copyOut OOB");
         std::memcpy(dst, data_.data() + src, bytes);
     }
 

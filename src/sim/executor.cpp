@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "ir/eval.h"
+#include "sim/lane_alu.h"
 #include "support/strings.h"
 
 namespace gevo::sim {
@@ -87,7 +88,6 @@ setDenseLaneMode(bool on)
 
 namespace {
 
-constexpr int kWarpSize = 32;
 constexpr std::uint32_t kFullMask = 0xffffffffu;
 
 using ir::MemSpace;
@@ -107,28 +107,6 @@ enum class WarpStop : std::uint8_t {
     Done,
     AtBarrier,
     Faulted,
-};
-
-/// Active lanes of a span's (constant) mask, gathered once per span in
-/// ascending lane order. Per-lane loops iterate these slots instead of
-/// testing all 32 mask bits — the dense-lane fast path for sparse
-/// divergent regions. nullptr (legacy mode, or a full mask) means "loop
-/// over all 32 lanes with a mask test". Ascending order keeps every
-/// order-sensitive site (atomic resolution, ballot/shfl last-active-lane
-/// mask reads) identical to the 32-slot loops.
-struct ActiveSet {
-    int n = 0;
-    std::uint8_t lanes[kWarpSize];
-
-    void
-    gather(std::uint32_t mask)
-    {
-        n = 0;
-        while (mask != 0) {
-            lanes[n++] = static_cast<std::uint8_t>(std::countr_zero(mask));
-            mask &= mask - 1;
-        }
-    }
 };
 
 struct WarpState {
@@ -366,16 +344,16 @@ class BlockRunner {
             base = mem_.raw();
             break;
           case MemSpace::Shared:
-            if (addr < 0 ||
-                addr + size > static_cast<std::int64_t>(shared_.size())) {
+            if (!inBounds(addr, size,
+                          static_cast<std::int64_t>(shared_.size()))) {
                 *fk = FaultKind::MemOobShared;
                 return false;
             }
             base = shared_.data();
             break;
           case MemSpace::Local:
-            if (addr < 0 ||
-                addr + size > static_cast<std::int64_t>(prog_.localBytes)) {
+            if (!inBounds(addr, size,
+                          static_cast<std::int64_t>(prog_.localBytes))) {
                 *fk = FaultKind::MemOobLocal;
                 return false;
             }
@@ -423,16 +401,16 @@ class BlockRunner {
             base = mem_.raw();
             break;
           case MemSpace::Shared:
-            if (addr < 0 ||
-                addr + size > static_cast<std::int64_t>(shared_.size())) {
+            if (!inBounds(addr, size,
+                          static_cast<std::int64_t>(shared_.size()))) {
                 *fk = FaultKind::MemOobShared;
                 return false;
             }
             base = shared_.data();
             break;
           case MemSpace::Local:
-            if (addr < 0 ||
-                addr + size > static_cast<std::int64_t>(prog_.localBytes)) {
+            if (!inBounds(addr, size,
+                          static_cast<std::int64_t>(prog_.localBytes))) {
                 *fk = FaultKind::MemOobLocal;
                 return false;
             }
@@ -481,7 +459,8 @@ class BlockRunner {
 
     /// Global coalescing: distinct 32B sectors touched by active lanes
     /// (sort the <=32 sector ids, count runs — the duplicate scan used to
-    /// be quadratic in the active-lane count).
+    /// be quadratic in the active-lane count). Coalesced accesses gather
+    /// already non-decreasing ids, so the sort is skipped for them.
     std::uint32_t
     globalSectors(const std::int64_t* addrs, std::uint32_t mask)
     {
@@ -491,7 +470,8 @@ class BlockRunner {
             if (mask & (1u << lane))
                 sectors[n++] = addrs[lane] >> 5;
         }
-        std::sort(sectors, sectors + n);
+        if (!std::is_sorted(sectors, sectors + n))
+            std::sort(sectors, sectors + n);
         int distinct = 0;
         for (int i = 0; i < n; ++i) {
             if (i == 0 || sectors[i] != sectors[i - 1])
@@ -595,13 +575,6 @@ class BlockRunner {
     {
         warp.uniBits[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
     }
-
-    /// Resolved read view of one operand: either a lane-major base
-    /// pointer (stride numRegs) or a scalar (immediate / uniform value).
-    struct SrcView {
-        const std::uint64_t* base = nullptr;
-        std::uint64_t scalar = 0;
-    };
 
     SrcView
     viewOf(const WarpState& warp, const Operand& op) const
@@ -1236,19 +1209,12 @@ BlockRunner::execInstr(WarpState& warp, const DecodedInstr& in,
                 warp, in.dest, mask,
                 ir::evalScalar(in.op, a.scalar, b.scalar, c.scalar));
         } else {
+            // Lane-varying: one dispatch on the opcode, then the
+            // opcode's own straight-line lane loop (sim/lane_alu.h).
             materializeReg(warp, in.dest);
-            const auto dest = static_cast<std::size_t>(in.dest);
-            for (int k = 0; k < laneLimit; ++k) {
-                const int lane = laneAt(k);
-                if (!kDense && !(mask & (1u << lane)))
-                    continue;
-                const std::size_t off =
-                    static_cast<std::size_t>(lane) * numRegs;
-                const std::uint64_t av = a.base ? a.base[off] : a.scalar;
-                const std::uint64_t bv = b.base ? b.base[off] : b.scalar;
-                const std::uint64_t cv = c.base ? c.base[off] : c.scalar;
-                regs0[off + dest] = ir::evalScalar(in.op, av, bv, cv);
-            }
+            kAluLanes<kDense>[static_cast<std::size_t>(in.op)](
+                {regs0, numRegs, static_cast<std::size_t>(in.dest), a, b, c,
+                 mask, act});
         }
         setReady(warp, in.dest, dev_.aluLat);
         return WarpStop::Done;

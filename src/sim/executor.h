@@ -8,6 +8,13 @@
 /// the simulator is fully deterministic, which stands in for the paper's
 /// fixed-seed validation methodology.
 ///
+/// Two interpreters implement that model (see InterpMode). The trace
+/// interpreter resolves everything it can once per instruction rather
+/// than once per lane: a lane-varying ALU/Cmp instruction dispatches on
+/// its opcode once and runs that opcode's own straight-line lane loop
+/// (sim/lane_alu.h), and the per-lane memory bounds checks are inline and
+/// overflow-free (sim::inBounds).
+///
 /// Timing model (DESIGN.md §6): per-warp in-order issue with a register
 /// scoreboard (load-use stalls, fillable by independent instructions —
 /// which mechanistically reproduces the paper's Sec VI-E curiosity),

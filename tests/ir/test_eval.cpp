@@ -62,6 +62,33 @@ TEST(Eval, F32MinMaxIgnoresNanLikeCuda)
     EXPECT_FLOAT_EQ(asF32(evalScalar(Opcode::MaxF32, one, nan)), 1.0f);
 }
 
+TEST(Eval, F32NanPayloadAndZeroSignFollowOperandOrder)
+{
+    // Fixed by rule, not by which operand the compiler placed first, so
+    // every inlined copy of evalScalar agrees bit for bit.
+    const std::uint64_t qa = 0x7fc00000;  // quiet NaN
+    const std::uint64_t qb = 0xffffffff;  // quiet NaN, other payload
+    const std::uint64_t sn = 0x7f800001;  // signaling NaN
+    EXPECT_EQ(evalScalar(Opcode::AddF32, qa, qb), qb);
+    EXPECT_EQ(evalScalar(Opcode::AddF32, sn, qa), qa);
+    EXPECT_EQ(evalScalar(Opcode::AddF32, qa, sn), 0x7fc00001u);
+    EXPECT_EQ(evalScalar(Opcode::SubF32, qa, qb), qa);
+    EXPECT_EQ(evalScalar(Opcode::MulF32, qb, qa), qb);
+    EXPECT_EQ(evalScalar(Opcode::DivF32, sn, qb), 0x7fc00001u);
+    const auto inf = fromF32(std::numeric_limits<float>::infinity());
+    EXPECT_EQ(evalScalar(Opcode::SubF32, inf, inf), 0xffc00000u);
+
+    EXPECT_EQ(evalScalar(Opcode::MinF32, qa, qb), qa);
+    EXPECT_EQ(evalScalar(Opcode::MaxF32, qb, qa), qb);
+    EXPECT_EQ(evalScalar(Opcode::MinF32, sn, fromF32(1.0f)), 0x7fc00001u);
+    const auto pz = fromF32(0.0f);
+    const auto nz = fromF32(-0.0f);
+    EXPECT_EQ(evalScalar(Opcode::MinF32, nz, pz), pz);
+    EXPECT_EQ(evalScalar(Opcode::MinF32, pz, nz), nz);
+    EXPECT_EQ(evalScalar(Opcode::MaxF32, nz, pz), pz);
+    EXPECT_EQ(evalScalar(Opcode::MaxF32, pz, nz), nz);
+}
+
 TEST(Eval, ShiftsMaskAmount)
 {
     EXPECT_EQ(evalScalar(Opcode::Shl, 1, 64), 1u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gevo::sim {
 namespace {
 
@@ -57,6 +59,19 @@ TEST(DeviceMemory, NegativeAddressesNeverMapped)
     DeviceMemory mem(1 << 16);
     EXPECT_FALSE(mem.mapped(-4, 4));
     EXPECT_FALSE(mem.mapped(-1, 1));
+}
+
+TEST(DeviceMemory, AddressesNearInt64MaxNeverMapped)
+{
+    // addr + size would wrap negative: the check must not compute it.
+    DeviceMemory mem(1 << 16);
+    mem.alloc(64);
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_FALSE(mem.mapped(kMax - 1, 4));
+    EXPECT_FALSE(mem.mapped(kMax, 1));
+    EXPECT_FALSE(mem.mapped(0, kMax));
+    EXPECT_TRUE(mem.mapped(mem.mappedEnd() - 4, 4));
+    EXPECT_FALSE(mem.mapped(mem.mappedEnd() - 3, 4));
 }
 
 TEST(DeviceMemory, ResetZeroesAndReclaims)

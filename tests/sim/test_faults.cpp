@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim_test_util.h"
 
 namespace gevo::sim {
@@ -118,6 +120,68 @@ entry:
     const auto prog = compile(text);
     runExpectFault(prog, mem, {1, 1}, FaultKind::MemOobLocal,
                    {static_cast<std::uint64_t>(out)});
+}
+
+TEST(Faults, AddressNearInt64MaxFaultsInEverySpace)
+{
+    // addr + size wraps negative for addresses within `size` bytes of
+    // INT64_MAX; a naive `addr + size <= limit` check lets them through
+    // and the access lands outside the arena. Every space, every access
+    // kind and both interpreters must report a clean OOB fault with the
+    // same detail text.
+    struct Space {
+        const char* name;
+        FaultKind kind;
+    };
+    const Space spaces[] = {{"global", FaultKind::MemOobGlobal},
+                            {"shared", FaultKind::MemOobShared},
+                            {"local", FaultKind::MemOobLocal}};
+    struct Access {
+        const char* head;
+        const char* tail;
+    };
+    const Access accesses[] = {{"r4 = ld.i32.", " r3"},
+                               {"st.i32.", " r3, r1"},
+                               {"r4 = atom.add.i32.", " r3, 1"}};
+    const LaunchDims shapes[] = {{1, 32}, {1, 3}}; // full and dense mask
+    for (const Space& space : spaces) {
+        for (const Access& access : accesses) {
+            const std::string body =
+                std::string(access.head) + space.name + access.tail;
+            const std::string text =
+                "kernel @hostile params 1 regs 8 shared 64 local 8 {\n"
+                "entry:\n"
+                "    r1 = tid\n"
+                "    r2 = cvt.i32.i64 r1\n"
+                "    r3 = add.i64 r2, 9223372036854775806\n"
+                "    " + body + "\n"
+                "    ret\n"
+                "}\n";
+            const auto prog = compile(text.c_str());
+            for (const LaunchDims dims : shapes) {
+                SCOPED_TRACE(body + " blockDim " +
+                             std::to_string(dims.blockDim));
+                LaunchResult trace;
+                LaunchResult ref;
+                {
+                    testutil::InterpModeGuard g(InterpMode::Trace);
+                    DeviceMemory mem(1 << 16);
+                    mem.alloc(64);
+                    trace = runExpectFault(prog, mem, dims, space.kind, {0});
+                }
+                {
+                    testutil::InterpModeGuard g(InterpMode::Reference);
+                    DeviceMemory mem(1 << 16);
+                    mem.alloc(64);
+                    ref = runExpectFault(prog, mem, dims, space.kind, {0});
+                }
+                EXPECT_EQ(trace.fault.detail, ref.fault.detail);
+                EXPECT_NE(trace.fault.detail.find("9223372036854775806"),
+                          std::string::npos)
+                    << trace.fault.detail;
+            }
+        }
+    }
 }
 
 TEST(Faults, BarrierUnderDivergence)

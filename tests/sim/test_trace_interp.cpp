@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 
 #include "apps/adept/driver.h"
@@ -19,7 +22,9 @@
 #include "apps/simcov/driver.h"
 #include "apps/simcov/kernels.h"
 #include "core/engine.h"
+#include "ir/eval.h"
 #include "mutation/edit.h"
+#include "sim/lane_alu.h"
 #include "sim_test_util.h"
 
 namespace gevo::sim {
@@ -389,18 +394,22 @@ join:
 /// trace, and the reference interpreter — and assert all three produce
 /// bit-identical stats, faults, and memory images. This is the oracle
 /// for the sparse-mask gather: packing may only change how the lane loop
-/// iterates, never what it computes or counts.
+/// iterates, never what it computes or counts. \p seed, when set, fills
+/// each arena identically after the allocation and before the launch.
 void
 expectDenseIdentical(const Program& prog, LaunchDims dims,
                      const std::vector<std::uint64_t>& args,
-                     const DeviceConfig& dev = p100(), bool profile = false)
+                     const DeviceConfig& dev = p100(), bool profile = false,
+                     const std::function<void(DeviceMemory&)>& seed = {})
 {
     DeviceMemory memD(1 << 18);
     DeviceMemory memL(1 << 18);
     DeviceMemory memR(1 << 18);
-    memD.alloc(1 << 16);
-    memL.alloc(1 << 16);
-    memR.alloc(1 << 16);
+    for (DeviceMemory* mem : {&memD, &memL, &memR}) {
+        mem->alloc(1 << 16);
+        if (seed)
+            seed(*mem);
+    }
 
     LaunchResult dense;
     LaunchResult legacy;
@@ -604,6 +613,197 @@ join:
 )";
     expectDenseIdentical(testutil::compile(text), {2, 64}, {0}, p100(),
                          true);
+}
+
+// ---- per-opcode lane loops: every scalar opcode, bit for bit ----
+
+// One lane loop per opcode, indexed by the opcode, in both packing modes.
+static_assert(kAluLanes<false>.size() == ir::kNumOpcodes);
+static_assert(kAluLanes<true>.size() == ir::kNumOpcodes);
+
+/// Threads of the sweep kernel (one full warp plus a partial one).
+constexpr int kSweepThreads = 40;
+
+/// Per-thread (a, b, c) inputs of the opcode sweep: the edge cases first,
+/// then a deterministic mix of full-width, i32, f32 and shift-sized
+/// values.
+std::vector<std::array<std::uint64_t, 3>>
+sweepRows()
+{
+    using I64 = std::numeric_limits<std::int64_t>;
+    const auto f = [](float v) { return ir::fromF32(v); };
+    const auto i = [](std::int64_t v) {
+        return static_cast<std::uint64_t>(v);
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<std::array<std::uint64_t, 3>> rows = {
+        {ir::fromI32(std::numeric_limits<std::int32_t>::min()), i(-1), 0},
+        {i(I64::min()), i(-1), 1},
+        {0, 0x0123456789abcdefull, 0xfedcba9876543210ull}, // select's c
+        {7, 0, 0},                                // division by zero
+        {i(-7), 0, 5},
+        {f(nan), f(1.0f), 0},
+        {f(inf), f(-inf), 1},
+        {f(-inf), f(nan), 2},
+        {1, 64, 0},                               // shifts >= 64
+        {0x8000000000000001ull, 65, 1},
+        {i(-1), 127, 0},
+        {f(3e9f), f(-3e9f), 1},                   // f32->i32 saturation
+        {f(-3e9f), f(2147483520.0f), 0},
+        {f(2147483648.0f), f(-0.0f), 1},
+        {f(-0.0f), f(0.0f), 0},
+        {0x7fffffff, 1, 1},                       // i32 overflow
+        {0xffffffffull, 0x100000000ull, 0},       // garbage upper bits
+    };
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    const auto next = [&state]() {
+        state += 0x9e3779b97f4a7c15ull;
+        std::uint64_t z = state;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    };
+    while (rows.size() < static_cast<std::size_t>(kSweepThreads)) {
+        std::array<std::uint64_t, 3> row{};
+        for (auto& v : row) {
+            const std::uint64_t r = next();
+            switch (r % 4) {
+              case 0: v = next(); break;
+              case 1:
+                v = ir::fromI32(static_cast<std::int32_t>(next()));
+                break;
+              case 2:
+                v = f(static_cast<float>(static_cast<std::int32_t>(next()) %
+                                         2000000) /
+                      997.0f);
+                break;
+              default: v = next() % 75; break;
+            }
+        }
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+/// Sweep kernel: thread t loads rows[t] into r9/r10/r11 (lane-varying),
+/// lanes whose bit is set in the r2 mask run `r<dest> = <op> <ops>`, and
+/// after reconvergence every lane stores r<dest> to out[t] (r1), so a
+/// clobbered inactive lane shows up too. r3 is a uniform parameter.
+std::string
+sweepKernel(ir::Opcode op, const std::string* ops, int numOps, int dest)
+{
+    std::string operands;
+    for (int k = 0; k < numOps; ++k) {
+        operands += k == 0 ? " " : ", ";
+        operands += ops[k];
+    }
+    const std::string d = "r" + std::to_string(dest);
+    return "kernel @sweep params 4 regs 24 shared 0 local 0 {\n"
+           "entry:\n"
+           "    r4 = tid\n"
+           "    r5 = cvt.i32.i64 r4\n"
+           "    r6 = mul.i64 r5, 8\n"
+           "    r7 = add.i64 r0, r6\n"
+           "    r9 = ld.i64.global r7\n"
+           "    r8 = add.i64 r7, 320\n"
+           "    r10 = ld.i64.global r8\n"
+           "    r8 = add.i64 r7, 640\n"
+           "    r11 = ld.i64.global r8\n"
+           "    r12 = add.i64 r1, r6\n"
+           "    r13 = laneid\n"
+           "    r14 = shr r2, r13\n"
+           "    r14 = and r14, 1\n"
+           "    brc r14, body, exit\n"
+           "body:\n"
+           "    " + d + " = " + std::string(ir::opMnemonic(op)) + operands +
+           "\n"
+           "    br exit\n"
+           "exit:\n"
+           "    st.i64.global r12, " + d + "\n"
+           "    ret\n"
+           "}\n";
+}
+
+TEST(DenseLanes, EveryScalarOpcodeMatchesReferenceBitForBit)
+{
+    // Each opcode's lane loop is its own instantiation of evalScalar, so
+    // each one is checked against the reference interpreter: all operand
+    // views (lane-varying, one uniform, one immediate, in place), under a
+    // full warp, a partial last warp and a 3-lane dense mask.
+    const auto rows = sweepRows();
+    const auto seedRows = [&rows](DeviceMemory& mem) {
+        for (int t = 0; t < kSweepThreads; ++t)
+            for (int k = 0; k < 3; ++k)
+                mem.write<std::uint64_t>((k * kSweepThreads + t) * 8,
+                                         rows[t][k]);
+    };
+    const std::uint64_t in = 0;  // the seeded rows, operand-major
+    const std::uint64_t out = 3 * kSweepThreads * 8;
+    struct LaneConfig {
+        const char* name;
+        LaunchDims dims;
+        std::uint32_t mask;
+    };
+    const LaneConfig laneConfigs[] = {
+        {"full warp", {1, 32}, 0xffffffffu},
+        {"partial last warp", {1, kSweepThreads}, 0xffffffffu},
+        {"3-lane dense mask", {1, 32}, (1u << 2) | (1u << 11) | (1u << 31)},
+    };
+    const std::uint64_t scalars[] = {
+        ir::fromI32(std::numeric_limits<std::int32_t>::min()),
+        ~std::uint64_t{0},
+        0,
+        64,
+        ir::fromF32(std::numeric_limits<float>::quiet_NaN()),
+        ir::fromF32(std::numeric_limits<float>::infinity()),
+        ir::fromF32(-3e9f),
+    };
+    struct Variant {
+        std::string what;
+        std::string ops[3];
+        int dest;
+        std::uint64_t uniform;
+    };
+    int swept = 0;
+    for (std::size_t o = 0; o < ir::kNumOpcodes; ++o) {
+        const auto op = static_cast<ir::Opcode>(o);
+        if (!ir::isScalarEvaluable(op))
+            continue;
+        ++swept;
+        const int numOps = ir::opInfo(op).numOps;
+        std::vector<Variant> variants = {
+            {"all lane-varying", {"r9", "r10", "r11"}, 15, 0},
+            {"lane-varying, in place", {"r9", "r10", "r11"}, 9, 0},
+        };
+        for (int pos = 0; pos < numOps; ++pos) {
+            for (const std::uint64_t v : scalars) {
+                Variant uni{"uniform operand " + std::to_string(pos),
+                            {"r9", "r10", "r11"}, 15, v};
+                uni.ops[pos] = "r3";
+                variants.push_back(uni);
+                Variant imm{"immediate operand " + std::to_string(pos),
+                            {"r9", "r10", "r11"}, 15, 0};
+                imm.ops[pos] = std::to_string(static_cast<std::int64_t>(v));
+                variants.push_back(imm);
+            }
+        }
+        for (const Variant& var : variants) {
+            const Program prog = testutil::compile(
+                sweepKernel(op, var.ops, numOps, var.dest).c_str());
+            for (const LaneConfig& lc : laneConfigs) {
+                SCOPED_TRACE(std::string(ir::opMnemonic(op)) + ", " +
+                             var.what + " (uniform " +
+                             std::to_string(var.uniform) + "), " + lc.name);
+                expectDenseIdentical(prog, lc.dims,
+                                     {in, out, lc.mask, var.uniform}, p100(),
+                                     false, seedRows);
+                if (HasFailure())
+                    return; // one diagnosis, not thousands
+            }
+        }
+    }
+    EXPECT_GT(swept, 0);
 }
 
 // ---- faults ----
